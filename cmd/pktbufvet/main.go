@@ -19,8 +19,9 @@
 // diagnostics, and fails on any heap escape inside a
 // //pktbuf:hotpath function that is not recorded in the baseline
 // file (default testdata/escapes_baseline.txt; missing file = empty
-// baseline, which is the current state of the tree).
-// -write-baseline regenerates the file from the observed escapes.
+// baseline), and on any stale baseline entry that matches no observed
+// escape. -write-baseline regenerates the file from the observed
+// escapes.
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
@@ -132,7 +133,7 @@ func badWaivers(p *load.Package, fset *token.FileSet) int {
 
 // runEscapes drives the escape gate.
 func runEscapes(pkgs []*load.Package, fset *token.FileSet, baseline string, write bool) int {
-	fresh, all, err := escape.Check(pkgs, fset, baseline)
+	fresh, stale, all, err := escape.Check(pkgs, fset, baseline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pktbufvet:", err)
 		return 2
@@ -148,9 +149,13 @@ func runEscapes(pkgs []*load.Package, fset *token.FileSet, baseline string, writ
 	for _, s := range fresh {
 		fmt.Printf("%s: escape in hot path %s: %s\n", s.Pos, s.Func, s.Message)
 	}
-	if len(fresh) > 0 {
+	for _, k := range stale {
+		fmt.Printf("%s: stale baseline entry (no such escape): %s\n", baseline, k)
+	}
+	if len(fresh) > 0 || len(stale) > 0 {
 		fmt.Fprintf(os.Stderr,
-			"pktbufvet: %d new heap escape(s) in //pktbuf:hotpath functions\n", len(fresh))
+			"pktbufvet: %d new heap escape(s) in //pktbuf:hotpath functions, %d stale baseline key(s); "+
+				"regenerate with -write-baseline after an intentional change\n", len(fresh), len(stale))
 		return 1
 	}
 	fmt.Printf("pktbufvet: escape gate clean (%d annotated function(s), %d baselined site(s))\n",

@@ -44,9 +44,9 @@
 // the tail and deficit selectors bucket queues by exact occupancy, and
 // the DRAM publishes its per-queue "readable now" eligibility as a
 // dense bitset the selectors consult instead of per-candidate
-// callbacks. Selections are bit-identical to the retained linear-scan
-// references (SelectScan), which seeded differential tests pin over
-// 10⁵-slot random workloads; BenchmarkTickQueueScaling holds per-slot
+// callbacks. Selections are bit-identical to the linear-scan
+// references (SelectScan, kept in the package's _test.go files), which
+// seeded differential tests pin over 10⁵-slot random workloads; BenchmarkTickQueueScaling holds per-slot
 // cost near-flat from Q=64 to Q=65536 (BENCH_baseline.json,
 // bitmap_index_pr4).
 //
@@ -96,27 +96,27 @@
 // BENCH_baseline.json (sparse_ff_pr5) records ≥14× per-slot cost
 // reduction at ρ=0.01 against the dense reference at the same load.
 //
-// # Dense fused batch kernel
+// # Dense slot datapath
 //
 // Busy time is batched the way idle time is skipped. TickBatch splits
 // its input into maximal busy spans (slots carrying an arrival or a
 // request) and idle runs: idle runs fast-forward as above, and each
-// busy span executes in a structure-of-arrays fused kernel
-// (internal/core/kernel.go) rather than span-many Tick calls. A
-// per-span prologue hoists what per-slot Tick re-derives every call —
-// slot index, MMA cycle phase, logical-ring head, and the substrate
-// devirtualized to concrete pointers (ECQF vs MDQF, CAM vs list SRAM,
-// renaming vs identity) — and an epilogue writes the carried counters
-// back once; the per-slot working set (sequence numbers, system
-// occupancy, pending requests) lives in dense parallel arrays. The
-// kernel also fuses ECQF's lookahead shift with the same slot's
-// delivery (ecqf.ShiftDelivered): their two critical-slot recomputes
-// cancel in the bitmap index, so one recompute — usually a no-op —
-// replaces two Clear/Set pairs. Slot-at-a-time Tick is retained
-// untouched as the differential reference; kernel_test.go pins the
-// fused path bit-identical to it (statistics included,
-// FastForwardedSlots excluded) across MMAs, granularities, DRAM
-// bounds and renaming, including batch boundaries and error slots.
+// busy span runs the buffer's one slot datapath
+// (internal/core/buffer.go) — the same body Tick calls — with the
+// completion-ring index and MMA cycle phase carried across the span
+// instead of recomputed from the clock every slot. The substrate is
+// resolved to concrete pointers once at construction (ECQF vs MDQF,
+// CAM vs list SRAM, renaming vs identity), and the per-slot working
+// set (sequence numbers, system occupancy, pending requests) lives in
+// dense parallel arrays. The datapath also fuses ECQF's lookahead
+// shift with the same slot's delivery (ecqf.ShiftDelivered): their two
+// critical-slot recomputes cancel in the bitmap index, so one
+// recompute — usually a no-op — replaces two Clear/Set pairs. The
+// slot-at-a-time reference lives in internal/core/oracle_test.go;
+// kernel_test.go pins both Tick and TickBatch bit-identical to it
+// (statistics included, FastForwardedSlots excluded) across MMAs,
+// granularities, DRAM bounds, renaming and SRAM organizations,
+// including batch boundaries and error slots.
 // BENCH_baseline.json (fused_kernel_pr6) records the dense gate —
 // ~125–140 ns/slot at the Q=512 design point, 0 allocs/op — and
 // cmd/benchcheck gates CI at +25% over the recorded rows.

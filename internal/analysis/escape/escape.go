@@ -10,7 +10,10 @@
 // "pkg.func: message" per line, # comments allowed); only escapes
 // absent from the baseline fail the gate, so a deliberate, justified
 // allocation does not wedge CI while still preventing silent growth.
-// The current tree's baseline is empty.
+// The baseline must also stay exact: a key that matches no observed
+// site (its function was renamed or deleted, or the escape was fixed)
+// fails the gate as stale, so the file cannot accumulate dead entries
+// that would silently waive a future escape of the same name.
 package escape
 
 import (
@@ -57,8 +60,9 @@ type annotated struct {
 // Check builds the annotated packages with escape diagnostics enabled
 // and returns the escape sites inside annotated functions that are
 // not covered by the baseline file (missing baseline file = empty
-// baseline), plus all observed sites for reporting.
-func Check(pkgs []*load.Package, fset *token.FileSet, baselinePath string) (fresh, all []Site, err error) {
+// baseline), the baseline keys that match no observed site, and all
+// observed sites for reporting.
+func Check(pkgs []*load.Package, fset *token.FileSet, baselinePath string) (fresh []Site, stale []string, all []Site, err error) {
 	var funcs []annotated
 	targets := make(map[string]bool)
 	for _, p := range pkgs {
@@ -80,7 +84,7 @@ func Check(pkgs []*load.Package, fset *token.FileSet, baselinePath string) (fres
 		}
 	}
 	if len(funcs) == 0 {
-		return nil, nil, fmt.Errorf("escape: no //pktbuf:hotpath annotations found")
+		return nil, nil, nil, fmt.Errorf("escape: no //pktbuf:hotpath annotations found")
 	}
 
 	var pkgArgs []string
@@ -97,20 +101,36 @@ func Check(pkgs []*load.Package, fset *token.FileSet, baselinePath string) (fres
 
 	diags, err := buildDiagnostics(module, pkgArgs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	all = matchSites(diags, funcs)
 	baseline, err := readBaseline(baselinePath)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	fresh, stale = compare(baseline, all)
+	return fresh, stale, all, nil
+}
+
+// compare splits the observed sites against the baseline: the sites
+// whose key the baseline lacks, and the baseline keys (sorted) that no
+// site matches.
+func compare(baseline map[string]bool, all []Site) (fresh []Site, stale []string) {
+	seen := make(map[string]bool, len(all))
 	for _, s := range all {
+		seen[s.Key()] = true
 		if !baseline[s.Key()] {
 			fresh = append(fresh, s)
 		}
 	}
-	return fresh, all, nil
+	for k := range baseline {
+		if !seen[k] {
+			stale = append(stale, k)
+		}
+	}
+	sort.Strings(stale)
+	return fresh, stale
 }
 
 // WriteBaseline records every observed site to path.

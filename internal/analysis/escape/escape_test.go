@@ -57,3 +57,24 @@ func TestMatchSitesRangeFilter(t *testing.T) {
 		t.Errorf("matched wrong site: %+v", got[0])
 	}
 }
+
+func TestCompareFlagsFreshAndStale(t *testing.T) {
+	baseline := map[string]bool{
+		"repro/p.T.hot: x escapes to heap":   true, // still observed
+		"repro/p.T.gone: y escapes to heap":  true, // function deleted
+		"repro/p.T.hot: old escapes to heap": true, // escape fixed
+	}
+	all := []Site{
+		{Func: "repro/p.T.hot", Message: "x escapes to heap", Pos: "f.go:1"},
+		{Func: "repro/p.T.hot", Message: "x escapes to heap", Pos: "f.go:7"}, // dup key
+		{Func: "repro/p.T.new", Message: "w escapes to heap", Pos: "f.go:9"},
+	}
+	fresh, stale := compare(baseline, all)
+	if len(fresh) != 1 || fresh[0].Func != "repro/p.T.new" {
+		t.Errorf("fresh = %v, want only the repro/p.T.new site", fresh)
+	}
+	want := []string{"repro/p.T.gone: y escapes to heap", "repro/p.T.hot: old escapes to heap"}
+	if len(stale) != len(want) || stale[0] != want[0] || stale[1] != want[1] {
+		t.Errorf("stale = %q, want %q", stale, want)
+	}
+}

@@ -116,11 +116,30 @@ func (t *tailQueue) extractBlock(n int, dst []cell.Cell) {
 	}
 }
 
-// Per-queue scalar state (arrival/delivery cursors, occupancy and
-// pending-request counters) lives in the structure-of-arrays arena
-// kernelState (kernel.go), shared by the slot-at-a-time path and the
-// fused batch kernel; only the tail-SRAM deques stay array-of-structs
-// because each holds a variable-length cell slice.
+// queueState is the structure-of-arrays per-queue state arena: the
+// arrival and delivery sequence cursors and the occupancy/pending
+// counters, each in its own contiguous word-aligned array indexed by
+// the logical queue ordinal. Keeping each counter class dense lets the
+// round-robin steady state walk sixteen queues per cache line instead
+// of two, and lets the slot datapath address one class without
+// dragging the others through the cache. Only the tail-SRAM deques
+// stay array-of-structs, because each holds a variable-length cell
+// slice.
+type queueState struct {
+	arrivedSeq   []uint64
+	deliveredSeq []uint64
+	sysOcc       []int32
+	pendingReq   []int32
+}
+
+func newQueueState(queues int) queueState {
+	return queueState{
+		arrivedSeq:   make([]uint64, queues),
+		deliveredSeq: make([]uint64, queues),
+		sysOcc:       make([]int32, queues),
+		pendingReq:   make([]int32, queues),
+	}
+}
 
 // completion is a DRAM→SRAM block transfer scheduled to land at a
 // future slot.
@@ -155,11 +174,10 @@ type Buffer struct {
 	logical []pipeEntry
 	logHead int
 
-	// ks is the packed per-queue state arena (structure of arrays,
-	// kernel.go) and tails the parallel tail-SRAM deque arena, both
-	// indexed by the logical queue ordinal and sized to Config.Q at
-	// construction.
-	ks        kernelState
+	// ks is the packed per-queue state arena (structure of arrays) and
+	// tails the parallel tail-SRAM deque arena, both indexed by the
+	// logical queue ordinal and sized to Config.Q at construction.
+	ks        queueState
 	tails     []tailQueue
 	tailTotal int // resident cells incl. promised and staged
 	// pendingTotal counts admitted requests not yet delivered (the
@@ -198,10 +216,16 @@ type Buffer struct {
 	// the head selectors consume directly (SetEligibility).
 	writeEligible func(q cell.QueueID) bool
 
-	// kern is the fused dense-batch kernel (kernel.go), built lazily on
-	// the first TickBatch call; the slot-at-a-time Tick path never
-	// touches it.
-	kern *kernel
+	// The concrete substrate behind the hmma, head and mapr interfaces,
+	// resolved once in New so the slot datapath makes direct calls:
+	// exactly one of ecqf/mdqf and one of cam/list is non-nil, and
+	// ident is nil when renaming. RestoreBuffer restores the substrate
+	// in place, so these never go stale.
+	ecqf  *mma.ECQF
+	mdqf  *mma.MDQF
+	cam   *sram.CAMStore
+	list  *sram.ListStore
+	ident *identityMapper
 
 	stats Stats
 }
@@ -249,81 +273,71 @@ func New(cfg Config) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 
-	var head sram.Store
+	buf := &Buffer{cfg: cfg}
 	switch cfg.Org {
 	case OrgLinkedList:
-		ls, err := sram.NewList(cfg.HeadSRAMCells, cfg.Bsmall, d.BanksPerGroup(), physSpace)
+		buf.list, err = sram.NewList(cfg.HeadSRAMCells, cfg.Bsmall, d.BanksPerGroup(), physSpace)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
-		head = ls
+		buf.head = buf.list
 	default:
-		head = sram.NewCAM(cfg.HeadSRAMCells, physSpace)
+		buf.cam = sram.NewCAM(cfg.HeadSRAMCells, physSpace)
+		buf.head = buf.cam
 	}
 
 	pipeLen := cfg.Lookahead + cfg.LatencySlots
 	if pipeLen < 1 {
 		pipeLen = 1
 	}
-	look, err := mma.NewLookahead(pipeLen)
+	buf.look, err = mma.NewLookahead(pipeLen)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 
-	var hm mma.HeadMMA
 	switch cfg.MMA {
 	case MDQF:
-		m, err := mma.NewMDQF(cfg.Bsmall, physSpace)
+		buf.mdqf, err = mma.NewMDQF(cfg.Bsmall, physSpace)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
-		hm = m
+		buf.hmma = buf.mdqf
 	default:
-		e, err := mma.NewECQF(look, cfg.Bsmall, physSpace)
+		buf.ecqf, err = mma.NewECQF(buf.look, cfg.Bsmall, physSpace)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
-		hm = e
+		buf.hmma = buf.ecqf
 	}
 
-	tm, err := mma.NewTailMMA(cfg.Bsmall, cfg.Q)
+	buf.tmma, err = mma.NewTailMMA(cfg.Bsmall, cfg.Q)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 
-	dr := dram.New(dcfg)
-	var mp mapper
+	buf.dram = dram.New(dcfg)
 	if cfg.Renaming {
-		mp = &renameMapper{table: tbl, dram: dr}
+		buf.mapr = &renameMapper{table: tbl, dram: buf.dram}
 	} else {
-		mp = newIdentityMapper(dr, cfg.Q)
+		buf.ident = newIdentityMapper(buf.dram, cfg.Q)
+		buf.mapr = buf.ident
 	}
 
-	logical := make([]pipeEntry, pipeLen)
-	for i := range logical {
-		logical[i].logical = cell.NoQueue
+	buf.logical = make([]pipeEntry, pipeLen)
+	for i := range buf.logical {
+		buf.logical[i].logical = cell.NoQueue
 	}
 	policy := dss.OldestReadyFirst
 	if cfg.FIFOScheduler {
 		policy = dss.FIFOBlocking
 	}
-	buf := &Buffer{
-		cfg:      cfg,
-		dram:     dr,
-		head:     head,
-		sched:    dss.NewWithPolicy(cfg.RRCapacity, policy),
-		hmma:     hm,
-		tmma:     tm,
-		mapr:     mp,
-		look:     look,
-		logical:  logical,
-		ks:       newKernelState(cfg.Q),
-		tails:    make([]tailQueue, cfg.Q),
-		compRing: make([][]completion, cfg.accessSlots()+1),
-	}
+	buf.sched = dss.NewWithPolicy(cfg.RRCapacity, policy)
+	buf.ks = newQueueState(cfg.Q)
+	buf.tails = make([]tailQueue, cfg.Q)
+	buf.compRing = make([][]completion, cfg.accessSlots()+1)
 	// The head MMA selects against the DRAM's readable-now bitset in
 	// place of per-candidate eligibility calls.
-	hm.SetEligibility(dr.ReadableSet())
+	buf.hmma.SetEligibility(buf.dram.ReadableSet())
 	if cfg.BankCapacityBlocks == 0 && !cfg.Renaming {
 		// Identity mapping over an unbounded DRAM: PeekWriteTarget can
 		// never fail, so the t-MMA runs unmasked.
@@ -411,63 +425,106 @@ func (b *Buffer) Stats() Stats {
 // ErrBufferFull / ErrBadRequest indicate caller-visible conditions
 // (the slot still completes: deliveries and internal transfers occur).
 func (b *Buffer) Tick(in TickInput) (TickOutput, error) {
-	return b.tickSlot(in, &b.delivered)
+	return b.slot(in, &b.delivered, int(b.now%cell.Slot(len(b.compRing))), int(b.now)%b.cfg.Bsmall)
 }
 
-// recordErr keeps the first non-nil error of a slot; later errors of
-// the same slot are dropped (the slot still completes, matching the
-// hardware model where a violation is flagged but the clock advances).
-func recordErr(dst *error, err error) {
-	if err != nil && *dst == nil {
-		*dst = err
-	}
-}
-
-// tickSlot is the slot body shared by Tick and TickBatch: one full
-// slot against the given delivered-cell scratch.
+// run advances the buffer by one slot per element of in, writing slot
+// i's delivered cell to scratch[i]. It carries the completion-ring
+// index and the MMA phase across the span as counters instead of
+// recomputing them from now every slot. It returns the number of slots
+// ticked; on error it stops after the offending slot (which still
+// completes, with its outcome in out[n-1]).
 //
 //pktbuf:hotpath
-func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
+func (b *Buffer) run(in []TickInput, out []TickOutput, scratch []cell.Cell) (int, error) {
+	ringLen := len(b.compRing)
+	slotIdx := int(b.now % cell.Slot(ringLen))
+	bs := b.cfg.Bsmall
+	phase := int(b.now) % bs
+	for i := range in {
+		o, err := b.slot(in[i], &scratch[i], slotIdx, phase)
+		out[i] = o
+		if err != nil {
+			return i + 1, err
+		}
+		if slotIdx++; slotIdx == ringLen {
+			slotIdx = 0
+		}
+		if phase++; phase == bs {
+			phase = 0
+		}
+	}
+	return len(in), nil
+}
+
+// slot is the buffer's one slot datapath (Figure 5), shared by Tick
+// and TickBatch. slotIdx is the current slot's completion-ring index
+// (now mod the ring length) and phase its position in the b-slot MMA
+// cycle (now mod b). A delivered cell is stored in dst, which the
+// output aliases. The first error of the slot is returned; later
+// errors of the same slot are dropped, and the slot still completes,
+// matching the hardware model where a violation is flagged but the
+// clock advances.
+//
+//pktbuf:hotpath
+func (b *Buffer) slot(in TickInput, dst *cell.Cell, slotIdx, phase int) (TickOutput, error) {
 	var out TickOutput
 	var firstErr error
 
 	// 1. Land DRAM→SRAM transfers completing this slot, before the
 	// delivery point ("perfectly synchronized hardware", §3). The
-	// completion calendar is a fixed ring indexed by slot.
-	slotIdx := int(b.now % cell.Slot(len(b.compRing)))
-	if pending := b.compRing[slotIdx]; len(pending) > 0 {
-		for _, c := range pending {
-			base := c.ordinal * uint64(b.cfg.Bsmall)
-			for i, cl := range c.cells {
-				if err := b.head.Insert(c.phys, base+uint64(i), cl); err != nil {
-					b.stats.HeadOverflows++
-					recordErr(&firstErr, fmt.Errorf("head SRAM insert: %w", err))
+	// compPending gate keeps the empty-calendar case to one compare.
+	if b.compPending != 0 {
+		if pending := b.compRing[slotIdx]; len(pending) > 0 {
+			for _, c := range pending {
+				base := c.ordinal * uint64(b.cfg.Bsmall)
+				for j, cl := range c.cells {
+					if err := b.insertHead(c.phys, base+uint64(j), cl); err != nil {
+						b.stats.HeadOverflows++
+						if firstErr == nil {
+							firstErr = fmt.Errorf("head SRAM insert: %w", err)
+						}
+					}
 				}
+				b.dram.ReleaseBlock(c.cells)
 			}
-			b.dram.ReleaseBlock(c.cells)
+			b.compPending -= len(pending)
+			b.compRing[slotIdx] = pending[:0]
 		}
-		b.compPending -= len(pending)
-		b.compRing[slotIdx] = pending[:0]
 	}
 
 	// 2. Arrival.
-	if in.Arrival != cell.NoQueue {
-		recordErr(&firstErr, b.arrive(in.Arrival))
+	if q := in.Arrival; q != cell.NoQueue {
+		if err := b.arrive(q); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 
 	// 3. Request enters the pipeline; the pipeline shifts exactly once
 	// per slot, so idle slots propagate bubbles.
 	phys := cell.NoPhysQueue
 	logical := cell.NoQueue
-	if in.Request != cell.NoQueue {
-		p, lq, err := b.admitRequest(in.Request)
-		recordErr(&firstErr, err)
+	if q := in.Request; q != cell.NoQueue {
+		p, lq, err := b.admitRequest(q)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 		phys, logical = p, lq
 	}
-	outPhys := b.look.Shift(phys)
+	// ECQF's window exit is delivered in this same slot (step 4), so
+	// its shift observation and the delivery's leave event fuse into
+	// one index update; deliver skips OnRequestLeave in return.
+	var outPhys cell.PhysQueueID
+	if b.ecqf != nil {
+		outPhys = b.ecqf.ShiftDelivered(phys)
+	} else {
+		outPhys = b.look.Shift(phys)
+	}
 	outEntry := b.logical[b.logHead]
 	b.logical[b.logHead] = pipeEntry{logical: logical}
-	b.logHead = (b.logHead + 1) % len(b.logical)
+	if b.logHead++; b.logHead == len(b.logical) {
+		b.logHead = 0
+	}
 	if logical != cell.NoQueue {
 		b.inPipe++
 	}
@@ -476,7 +533,9 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 	if outEntry.logical != cell.NoQueue {
 		b.inPipe--
 		delivered, bypassed, err := b.deliver(outPhys, outEntry.logical, dst)
-		recordErr(&firstErr, err)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 		if delivered != nil {
 			out.Delivered = delivered
 			out.Bypassed = bypassed
@@ -488,15 +547,22 @@ func (b *Buffer) tickSlot(in TickInput, dst *cell.Cell) (TickOutput, error) {
 	// DRAM a random-access-time apart (the paper's RADS alternates
 	// accesses every T_RC; CFDS overlaps them across banks).
 	bs := b.cfg.Bsmall
-	phase := int(b.now) % bs
 	if phase == bs-1 {
-		recordErr(&firstErr, b.tailCycle())
-		recordErr(&firstErr, b.headCycle())
+		if err := b.tailCycle(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if err := b.headCycle(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if bs == 1 {
-		recordErr(&firstErr, b.dsaCycle(b.cfg.IssuesPerCycle))
+		if err := b.dsaCycle(b.cfg.IssuesPerCycle); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	} else if phase == bs-1 || phase == bs/2-1 {
-		recordErr(&firstErr, b.dsaCycle((b.cfg.IssuesPerCycle+1)/2))
+		if err := b.dsaCycle((b.cfg.IssuesPerCycle + 1) / 2); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 
 	if b.tailTotal > b.stats.TailHighWater {
@@ -599,16 +665,16 @@ func slotsWithResidue(start, n, m, r uint64) uint64 {
 // outcome to out[i]. It requires len(out) ≥ len(in) and returns the
 // number of slots ticked; on error it stops after the offending slot
 // (which, per Tick semantics, still completes and has its outcome in
-// out[n-1]). It is the fused fast path: busy spans run through the
-// structure-of-arrays batch kernel (kernel.go) — one fused
-// arrival→select→issue→deliver loop with per-batch prologue/epilogue
-// in place of tickSlot's per-slot overhead — delivered cells land in a
+// out[n-1]). Busy spans run through the same slot datapath as Tick,
+// with the completion-ring index and MMA phase carried across the span
+// instead of recomputed per slot. Delivered cells land in a
 // batch-local scratch (every out[i].Delivered stays valid until the
 // next Tick or TickBatch call, not just one slot), and runs of idle
 // inputs are converted to FastForward the moment the buffer goes
 // quiescent, so fully idle spans cost O(1) instead of O(slots). The
-// outcome is bit-identical to calling Tick once per input, which the
-// differential suites in kernel_test.go and fastforward_test.go pin.
+// outcome is bit-identical to calling Tick once per input; the
+// differential suites in kernel_test.go and fastforward_test.go pin
+// both against the slot-at-a-time reference in oracle_test.go.
 func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
 	if len(out) < len(in) {
 		return 0, fmt.Errorf("core: TickBatch output slice too short: %d outputs for %d inputs",
@@ -618,7 +684,6 @@ func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
 		b.deliveredBatch = make([]cell.Cell, len(in))
 	}
 	scratch := b.deliveredBatch[:cap(b.deliveredBatch)]
-	k := b.kernel()
 	i := 0
 	for i < len(in) {
 		if in[i].Arrival == cell.NoQueue && in[i].Request == cell.NoQueue {
@@ -635,7 +700,7 @@ func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
 					}
 					break
 				}
-				n, err := k.run(in[i:i+1], out[i:i+1], scratch[i:i+1])
+				n, err := b.run(in[i:i+1], out[i:i+1], scratch[i:i+1])
 				i += n
 				if err != nil {
 					return i, err
@@ -643,19 +708,27 @@ func (b *Buffer) TickBatch(in []TickInput, out []TickOutput) (int, error) {
 			}
 			continue
 		}
-		// Busy span: hand the maximal run of non-idle slots to the
-		// fused kernel in one call.
+		// Busy span: run the maximal stretch of non-idle slots in one
+		// call.
 		j := i + 1
 		for j < len(in) && (in[j].Arrival != cell.NoQueue || in[j].Request != cell.NoQueue) {
 			j++
 		}
-		n, err := k.run(in[i:j], out[i:j], scratch[i:j])
+		n, err := b.run(in[i:j], out[i:j], scratch[i:j])
 		i += n
 		if err != nil {
 			return i, err
 		}
 	}
 	return len(in), nil
+}
+
+// insertHead lands one transferred cell in the head SRAM.
+func (b *Buffer) insertHead(p cell.PhysQueueID, pos uint64, c cell.Cell) error {
+	if b.cam != nil {
+		return b.cam.Insert(p, pos, c)
+	}
+	return b.list.Insert(p, pos, c)
 }
 
 // arrive admits one cell into the tail SRAM.
@@ -690,7 +763,7 @@ func (b *Buffer) arrive(q cell.QueueID) error {
 // already written toward DRAM route via their physical queue; the
 // remainder are promised to the tail-SRAM bypass.
 func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, cell.QueueID, error) {
-	if b.Requestable(q) <= 0 {
+	if q < 0 || int(q) >= len(b.ks.sysOcc) || b.ks.sysOcc[q]-b.ks.pendingReq[q] <= 0 {
 		b.stats.BadRequests++
 		return cell.NoPhysQueue, cell.NoQueue,
 			fmt.Errorf("%w: queue %d at slot %d", ErrBadRequest, q, b.now)
@@ -698,7 +771,13 @@ func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, cell.QueueID, e
 	b.ks.pendingReq[q]++
 	b.pendingTotal++
 	b.stats.Requests++
-	phys, ok := b.mapr.ConsumeForRequest(q)
+	var phys cell.PhysQueueID
+	var ok bool
+	if b.ident != nil {
+		phys, ok = b.ident.ConsumeForRequest(q)
+	} else {
+		phys, ok = b.mapr.ConsumeForRequest(q)
+	}
 	if !ok {
 		// Bypass: commit the oldest unpromised tail cell to direct
 		// delivery and remove it from the t-MMA's stageable ledger.
@@ -706,7 +785,10 @@ func (b *Buffer) admitRequest(q cell.QueueID) (cell.PhysQueueID, cell.QueueID, e
 		b.tmma.OnBypass(q)
 		return cell.NoPhysQueue, q, nil
 	}
-	b.hmma.OnRequestEnter(phys)
+	// ECQF observes window entry at the lookahead shift instead.
+	if b.mdqf != nil {
+		b.mdqf.OnRequestEnter(phys)
+	}
 	return phys, q, nil
 }
 
@@ -731,8 +813,15 @@ func (b *Buffer) deliver(phys cell.PhysQueueID, q cell.QueueID, dst *cell.Cell) 
 		b.tailTotal--
 		bypassed = true
 	} else {
-		b.hmma.OnRequestLeave(phys)
-		popped, err := b.head.Pop(phys)
+		// ECQF's leave event was already folded into ShiftDelivered;
+		// MDQF's is a no-op by construction.
+		var popped cell.Cell
+		var err error
+		if b.cam != nil {
+			popped, err = b.cam.Pop(phys)
+		} else {
+			popped, err = b.list.Pop(phys)
+		}
 		if err != nil {
 			b.stats.Misses++
 			return nil, false, fmt.Errorf("%w: queue %d (phys %d) at slot %d: %v",
@@ -768,18 +857,30 @@ func (b *Buffer) tailCycle() error {
 	if !ok {
 		return nil
 	}
-	p, err := b.mapr.WriteTarget(q)
-	if err != nil {
-		// Raced capacity; treated as a stall, retried next cycle.
-		b.stats.TailStalls++
-		return nil
+	var p cell.PhysQueueID
+	if b.ident != nil {
+		// The identity write target needs no error value on a stall.
+		p = cell.PhysQueueID(q)
+		if !b.dram.CanWrite(p) {
+			b.stats.TailStalls++
+			return nil
+		}
+	} else {
+		var err error
+		if p, err = b.mapr.WriteTarget(q); err != nil {
+			// Raced capacity; treated as a stall, retried next cycle.
+			b.stats.TailStalls++
+			return nil
+		}
 	}
 	ordinal, bank, err := b.dram.ReserveWrite(p)
 	if err != nil {
 		b.stats.TailStalls++
 		return nil
 	}
-	if err := b.mapr.NoteWrite(q, p); err != nil {
+	if b.ident != nil {
+		b.ident.towardDRAM[q] += b.cfg.Bsmall
+	} else if err := b.mapr.NoteWrite(q, p); err != nil {
 		return err
 	}
 	blk := b.dram.AcquireBlock()
@@ -799,7 +900,13 @@ func (b *Buffer) headCycle() error {
 	}
 	// Eligibility comes from the DRAM's readable bitset installed at
 	// construction, so no per-candidate closure is passed.
-	p, ok := b.hmma.Select(nil)
+	var p cell.PhysQueueID
+	var ok bool
+	if b.ecqf != nil {
+		p, ok = b.ecqf.Select(nil)
+	} else {
+		p, ok = b.mdqf.Select(nil)
+	}
 	if !ok {
 		return nil
 	}
@@ -807,7 +914,11 @@ func (b *Buffer) headCycle() error {
 	if err != nil {
 		return fmt.Errorf("core: replenish reserve for phys %d: %w", p, err)
 	}
-	b.hmma.OnReplenish(p)
+	if b.ecqf != nil {
+		b.ecqf.OnReplenish(p)
+	} else {
+		b.mdqf.OnReplenish(p)
+	}
 	return b.sched.Enqueue(dss.Request{
 		Queue: p, Dir: dss.Read, Ordinal: ordinal, Bank: bank, Enqueued: b.now,
 	})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,24 +32,25 @@ func normalizeFF(s Stats) Stats {
 	return s
 }
 
-// phasedStimulus drives buf slot-by-slot with a seeded phase machine
-// (busy / fill-only / drain-only / fully idle, idle spans long enough
-// to outlast the request pipeline) and records the exact TickInput of
-// every slot plus the delivery outcome. The recorded stimulus replays
-// bit-identically through any equivalent advance of the same
-// configuration.
+// slotOutcome is one slot's delivery, copied out of buffer scratch.
 type slotOutcome struct {
 	ok       bool
 	bypassed bool
 	cell     cell.Cell
 }
 
-func phasedStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]TickInput, []slotOutcome) {
+// phasedStimulus drives the reference slot-by-slot with a seeded
+// phase machine (busy / fill-only / drain-only / fully idle, idle
+// spans long enough to outlast the request pipeline) and records the
+// exact TickInput of every slot plus the delivery outcome. The
+// recorded stimulus replays bit-identically through any equivalent
+// advance of the same configuration.
+func phasedStimulus(t *testing.T, ref oracle, rng *rand.Rand, slots int) ([]TickInput, []slotOutcome) {
 	t.Helper()
 	ins := make([]TickInput, 0, slots)
 	outs := make([]slotOutcome, 0, slots)
-	queues := buf.Config().Q
-	pipe := buf.Config().Lookahead + buf.Config().LatencySlots
+	queues := ref.Config().Q
+	pipe := ref.Config().Lookahead + ref.Config().LatencySlots
 	rrNext := 0
 	for len(ins) < slots {
 		kind := rng.Intn(4)
@@ -58,7 +58,7 @@ func phasedStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]Tic
 		if kind == 3 {
 			// Fully idle phase: long enough that quiescence is reached
 			// and a fast-forwarding replay actually skips.
-			length = pipe + 1 + rng.Intn(3*pipe+2*queues*buf.Config().Bsmall)
+			length = pipe + 1 + rng.Intn(3*pipe+2*queues*ref.Config().Bsmall)
 		}
 		for s := 0; s < length && len(ins) < slots; s++ {
 			in := TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
@@ -71,81 +71,51 @@ func phasedStimulus(t *testing.T, buf *Buffer, rng *rand.Rand, slots int) ([]Tic
 				// needs no view.
 				for i := 0; i < queues; i++ {
 					q := cell.QueueID((rrNext + i) % queues)
-					if buf.Requestable(q) > 0 {
+					if ref.Requestable(q) > 0 {
 						in.Request = q
 						rrNext = (int(q) + 1) % queues
 						break
 					}
 				}
 			}
-			out, err := buf.Tick(in)
+			out, err := ref.Tick(in)
 			if err != nil {
 				t.Fatalf("reference tick slot %d: %v", len(ins), err)
 			}
-			oc := slotOutcome{}
-			if out.Delivered != nil {
-				oc = slotOutcome{ok: true, bypassed: out.Bypassed, cell: *out.Delivered}
-			}
 			ins = append(ins, in)
-			outs = append(outs, oc)
+			outs = append(outs, outcomeOf(out))
 		}
 	}
 	return ins, outs
 }
 
-// TestFastForwardDifferential pins the tentpole equivalence: replaying
-// a recorded phased workload through the fused TickBatch — which
+// TestFastForwardDifferential pins the fast-forward equivalence:
+// replaying a recorded phased workload through TickBatch — which
 // fast-forwards every idle span the moment the buffer goes quiescent —
-// must be bit-identical to the slot-by-slot reference run: same
+// must be bit-identical to the oracle's slot-by-slot run: same
 // deliveries in the same slots, same final statistics (skipped-slot
 // counter aside) and same clock.
 func TestFastForwardDifferential(t *testing.T) {
 	for ci, cfg := range ffConfigs() {
 		cfg := cfg
-		name := fmt.Sprintf("%s/b=%d/cap=%d/ren=%v", cfg.MMA, cfg.Bsmall, cfg.BankCapacityBlocks, cfg.Renaming)
-		t.Run(name, func(t *testing.T) {
-			ref, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			ref := newOracle(t, cfg)
 			rng := rand.New(rand.NewSource(int64(7331 + ci)))
 			ins, want := phasedStimulus(t, ref, rng, 30000)
 
-			fused, err := New(cfg)
+			buf, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([]TickOutput, 512)
-			pos := 0
-			for pos < len(ins) {
-				n := len(out)
-				if left := len(ins) - pos; left < n {
-					n = left
-				}
-				m, err := fused.TickBatch(ins[pos:pos+n], out[:n])
-				if err != nil {
-					t.Fatalf("fused batch at slot %d: %v", pos+m-1, err)
-				}
-				for i := 0; i < m; i++ {
-					w := want[pos+i]
-					g := slotOutcome{}
-					if out[i].Delivered != nil {
-						g = slotOutcome{ok: true, bypassed: out[i].Bypassed, cell: *out[i].Delivered}
-					}
-					if g != w {
-						t.Fatalf("slot %d: fused %+v, reference %+v", pos+i, g, w)
-					}
-				}
-				pos += m
+			replay(t, buf, ins, want, 512)
+			if got, wantS := normalizeFF(buf.Stats()), normalizeFF(ref.Stats()); got != wantS {
+				t.Errorf("stats diverge:\nbatch %+v\nref   %+v", got, wantS)
 			}
-			if got, wantS := normalizeFF(fused.Stats()), normalizeFF(ref.Stats()); got != wantS {
-				t.Errorf("stats diverge:\nfused %+v\nref   %+v", got, wantS)
+			if buf.Now() != ref.Now() {
+				t.Errorf("clock diverges: batch %d, ref %d", buf.Now(), ref.Now())
 			}
-			if fused.Now() != ref.Now() {
-				t.Errorf("clock diverges: fused %d, ref %d", fused.Now(), ref.Now())
-			}
-			if fused.Stats().FastForwardedSlots == 0 {
-				t.Error("fused path never fast-forwarded: the differential exercised nothing")
+			if buf.Stats().FastForwardedSlots == 0 {
+				t.Error("TickBatch never fast-forwarded: the differential exercised nothing")
 			}
 		})
 	}
@@ -161,8 +131,7 @@ func TestFastForwardMatchesIdleTicks(t *testing.T) {
 	idle := TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
 	for _, cfg := range ffConfigs() {
 		cfg := cfg
-		name := fmt.Sprintf("%s/b=%d/cap=%d/ren=%v", cfg.MMA, cfg.Bsmall, cfg.BankCapacityBlocks, cfg.Renaming)
-		t.Run(name, func(t *testing.T) {
+		t.Run(cfgName(cfg), func(t *testing.T) {
 			for _, n := range []uint64{1, 2, 3, 7, 64, 1009} {
 				for phase := 0; phase < cfg.Bsmall; phase++ {
 					a, err := New(cfg)
@@ -323,7 +292,7 @@ func TestQuiescenceStableUnderIdleTicks(t *testing.T) {
 	}
 }
 
-// TestTickBatchFusedZeroAlloc gates the fused batch path at zero
+// TestTickBatchFusedZeroAlloc gates the batch path at zero
 // allocations per batch once warm. The stimulus is a deterministic
 // period — full-load phase, fully idle gap (long enough that the
 // batch fast-forwards through it), lagged drain, trailing idle — that

@@ -34,8 +34,7 @@ const snapshotVersion = 1
 // statistics for any subsequent stimulus.
 //
 // Scratch that the next slot cannot observe (delivery scratch cells,
-// the batch kernel's devirtualization cache, the block recycling pool,
-// epoch-stamped workspaces) is not serialized; derived indices
+// the block recycling pool) is not serialized; derived indices
 // (bitsets, critical-slot rings, bucketed max-trackers) are rebuilt on
 // restore from the authoritative state.
 func (b *Buffer) Snapshot(w io.Writer) error {

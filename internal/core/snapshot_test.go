@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,12 +19,8 @@ import (
 func TestSnapshotDifferential(t *testing.T) {
 	for ci, cfg := range ffConfigs() {
 		cfg := cfg
-		name := fmt.Sprintf("%s/b=%d/cap=%d/ren=%v", cfg.MMA, cfg.Bsmall, cfg.BankCapacityBlocks, cfg.Renaming)
-		t.Run(name, func(t *testing.T) {
-			ref, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			ref := newOracle(t, cfg)
 			rng := rand.New(rand.NewSource(int64(70117 + ci)))
 			ins, want := denseStimulus(t, ref, rng, 3000)
 
@@ -69,11 +64,7 @@ func TestSnapshotDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cut %d: restored tick %d: %v", cut, i, err)
 					}
-					got := slotOutcome{}
-					if out.Delivered != nil {
-						got = slotOutcome{ok: true, bypassed: out.Bypassed, cell: *out.Delivered}
-					}
-					if got != want[i] {
+					if got := outcomeOf(out); got != want[i] {
 						t.Fatalf("cut %d: slot %d: restored %+v, reference %+v", cut, i, got, want[i])
 					}
 				}
@@ -88,16 +79,13 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreThenBatch pins that a restored buffer feeds the
-// fused batch kernel identically: the devirtualization cache is
-// rebuilt lazily, not restored, so the first TickBatch after a restore
-// is the interesting one.
+// TestSnapshotRestoreThenBatch pins that a restored buffer runs
+// TickBatch identically: the substrate is restored in place under the
+// concrete pointers New resolved, so the first TickBatch after a
+// restore is the interesting one.
 func TestSnapshotRestoreThenBatch(t *testing.T) {
 	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16, Renaming: true, BankCapacityBlocks: 64}
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newOracle(t, cfg)
 	rng := rand.New(rand.NewSource(51109))
 	ins, want := denseStimulus(t, ref, rng, 4000)
 
@@ -119,7 +107,7 @@ func TestSnapshotRestoreThenBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayBatches(t, restored, ins[cut:], want[cut:], 23)
+	replay(t, restored, ins[cut:], want[cut:], 23)
 	if got, wantS := restored.Stats(), ref.Stats(); got != wantS {
 		t.Errorf("final stats diverge:\nrestored %+v\nref      %+v", got, wantS)
 	}
@@ -154,13 +142,9 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 // TestSnapshotTruncated pins that a stream cut short fails loudly.
 func TestSnapshotTruncated(t *testing.T) {
 	cfg := Config{Q: 8, B: 8, Bsmall: 4, Banks: 16}
-	buf, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := newOracle(t, cfg)
 	rng := rand.New(rand.NewSource(7))
-	ins, _ := denseStimulus(t, buf, rng, 500)
-	_ = ins
+	denseStimulus(t, buf, rng, 500)
 	var snap bytes.Buffer
 	if err := buf.Snapshot(&snap); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func BenchmarkECQFSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkECQFSelectScan measures the retained reference scan over
+// BenchmarkECQFSelectScan measures the reference scan (scan_test.go) over
 // the same state — the cost the index removes from the hot path.
 func BenchmarkECQFSelectScan(b *testing.B) {
 	b.ReportAllocs()
@@ -86,7 +86,7 @@ func BenchmarkMDQFSelect(b *testing.B) {
 }
 
 // BenchmarkMDQFSelectScan measures the lookahead-free baseline's
-// retained reference scan over the dense name space.
+// reference scan (scan_test.go) over the dense name space.
 func BenchmarkMDQFSelectScan(b *testing.B) {
 	b.ReportAllocs()
 	m := setupMDQF()

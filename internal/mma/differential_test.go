@@ -11,7 +11,7 @@ import (
 
 // This file pins the tentpole guarantee of the bitmap indices: the
 // indexed Select implementations are bit-identical — same queue, same
-// tie-breaks, same idle decisions — to the retained SelectScan linear
+// tie-breaks, same idle decisions — to the SelectScan linear
 // references, across seeded random workloads that include negative
 // ledgers, overflow-bucket occupancies, arena growth and all three
 // eligibility modes (none, closure, bitset).

@@ -50,29 +50,22 @@ type HeadMMA interface {
 // counter goes negative is "critical" and is selected. With lookahead
 // L* = Q(b−1)+1 this minimizes SRAM to Q(b−1) cells.
 //
-// SelectScan performs that scan literally. Select answers the same
-// question from an incrementally maintained index: queue q first goes
-// critical at its (max(occ[q],0)+1)-th pending request, so the index
-// keeps, per queue, the ring slot of exactly that request (critSlot)
-// and a hierarchical bitmap over ring slots (crit) holding all of
-// them. Selection is then a find-first-set from the window head —
-// O(log₆₄ L) instead of re-walking the Q(b−1)+1 lookahead — and every
-// ledger or window event updates the one affected queue in O(log₆₄ L).
+// Select answers the same question without the scan (the package
+// tests keep the literal scan as its differential reference) from an
+// incrementally maintained index: queue q first goes critical at its
+// (max(occ[q],0)+1)-th pending request, so the index keeps, per queue,
+// the ring slot of exactly that request (critSlot) and a hierarchical
+// bitmap over ring slots (crit) holding all of them. Selection is then
+// a find-first-set from the window head — O(log₆₄ L) instead of
+// re-walking the Q(b−1)+1 lookahead — and every ledger or window event
+// updates the one affected queue in O(log₆₄ L).
 //
 // All per-queue state is kept in dense slices indexed by the physical
-// queue ordinal; the scratch counters are epoch-stamped so SelectScan
-// does no clearing work proportional to the queue count.
+// queue ordinal.
 type ECQF struct {
 	b    int
 	look *Lookahead
 	occ  []int32
-	// scratch/stamp implement an epoch-validated scratch array: an
-	// entry is live only when stamp[q] == epoch, so each SelectScan
-	// starts from logically-zero counters without touching O(queues)
-	// memory.
-	scratch []int32
-	stamp   []uint32
-	epoch   uint32
 
 	// pos[q] lists the ring slots of q's requests currently in the
 	// window, oldest first; critSlot[q] is the slot of the request at
@@ -105,16 +98,13 @@ func NewECQF(look *Lookahead, b, queues int) (*ECQF, error) {
 	}
 	if look.onShift != nil {
 		// A silently replaced observer would leave the first ECQF's
-		// index stale while its SelectScan stayed correct — fail loudly
-		// instead.
+		// index stale — fail loudly instead.
 		return nil, fmt.Errorf("mma: lookahead already has a shift observer (one ECQF per lookahead)")
 	}
 	e := &ECQF{
 		b:        b,
 		look:     look,
 		occ:      make([]int32, queues),
-		scratch:  make([]int32, queues),
-		stamp:    make([]uint32, queues),
 		pos:      make([]posRing, queues),
 		critSlot: make([]int32, queues),
 		crit:     bitset.New(look.Size()),
@@ -133,8 +123,6 @@ func (e *ECQF) ensure(q cell.PhysQueueID) {
 	n := int(q) + 1
 	old := len(e.occ)
 	e.occ = arena.Grown(e.occ, n)
-	e.scratch = arena.Grown(e.scratch, n)
-	e.stamp = arena.Grown(e.stamp, n)
 	e.pos = arena.Grown(e.pos, n)
 	e.critSlot = arena.Grown(e.critSlot, n)
 	for i := old; i < n; i++ {
@@ -300,47 +288,6 @@ func (e *ECQF) Select(eligible func(cell.PhysQueueID) bool) (cell.PhysQueueID, b
 	return cell.NoPhysQueue, false
 }
 
-// SelectScan is the retained reference implementation of Select: the
-// §3 linear scan over the lookahead with epoch-stamped scratch
-// counters. The scratch counters hold the number of pending lookahead
-// requests seen so far per queue; queue q is critical at the request
-// that makes occ[q] − seen[q] < 0. The differential tests assert
-// Select ≡ SelectScan over seeded random workloads.
-func (e *ECQF) SelectScan(eligible func(cell.PhysQueueID) bool) (cell.PhysQueueID, bool) {
-	e.epoch++
-	if e.epoch == 0 {
-		// uint32 wrap: stale stamps could alias the new epoch.
-		clear(e.stamp)
-		e.epoch = 1
-	}
-	chosen, found := cell.NoPhysQueue, false
-	e.look.Scan(func(_ int, q cell.PhysQueueID) bool {
-		if q == cell.NoPhysQueue {
-			return true
-		}
-		e.ensure(q)
-		if e.stamp[q] != e.epoch {
-			e.stamp[q] = e.epoch
-			e.scratch[q] = 0
-		}
-		e.scratch[q]++
-		if e.occ[q]-e.scratch[q] < 0 {
-			if e.eligibleQ(q, eligible) {
-				chosen, found = q, true
-				return false
-			}
-			// Critical but not replenishable this cycle (e.g. its next
-			// block's write is still in flight toward DRAM): keep
-			// scanning for a later critical queue, and reset this
-			// queue's scratch so criticality re-triggers only after b
-			// more of its requests.
-			e.scratch[q] -= int32(e.b)
-		}
-		return true
-	})
-	return chosen, found
-}
-
 // MDQF is the Most Deficit Queue First baseline: it ignores the
 // lookahead contents and selects the eligible queue with the lowest
 // ledger occupancy (deepest deficit). The paper notes ([13]) that
@@ -468,26 +415,4 @@ func (m *MDQF) Select(eligible func(cell.PhysQueueID) bool) (cell.PhysQueueID, b
 		}
 	}
 	return cell.NoPhysQueue, false
-}
-
-// SelectScan is the retained reference implementation of Select: the
-// linear scan over the dense physical name space. The differential
-// tests assert Select ≡ SelectScan over seeded random workloads.
-func (m *MDQF) SelectScan(eligible func(cell.PhysQueueID) bool) (cell.PhysQueueID, bool) {
-	best, bestOcc, found := cell.NoPhysQueue, int32(0), false
-	for i := range m.occ {
-		q := cell.PhysQueueID(i)
-		if m.occ[i] >= 0 || (found && m.occ[i] >= bestOcc) || !m.eligibleQ(q, eligible) {
-			continue
-		}
-		best, bestOcc, found = q, m.occ[i], true
-	}
-	return best, found
-}
-
-func (m *MDQF) eligibleQ(q cell.PhysQueueID, eligible func(cell.PhysQueueID) bool) bool {
-	if m.elig != nil {
-		return m.elig.Has(int(q))
-	}
-	return eligible == nil || eligible(q)
 }

@@ -11,14 +11,14 @@
 //
 // # Selection indices
 //
-// Every selector keeps two implementations: SelectScan is the direct
-// transcription of the paper's rule as a linear scan (retained as the
-// differential-test reference), and Select answers the same question
-// from incrementally maintained hierarchical-bitmap indices
-// (internal/bitset), so the per-decision cost is O(log₆₄ n) in the
-// queue count and lookahead length instead of O(Q) / O(L). The two are
-// bit-identical — same queue, same tie-breaks — which the seeded
-// differential tests in differential_test.go pin down.
+// Every selector's Select answers the paper's rule from incrementally
+// maintained hierarchical-bitmap indices (internal/bitset), so the
+// per-decision cost is O(log₆₄ n) in the queue count and lookahead
+// length instead of O(Q) / O(L). The direct transcription of each rule
+// as a linear scan, SelectScan, lives in the package tests
+// (scan_test.go) as the differential reference: the seeded
+// differential tests in differential_test.go pin Select and SelectScan
+// bit-identical — same queue, same tie-breaks.
 //
 // Index invariants (checked implicitly by the differential suite):
 //

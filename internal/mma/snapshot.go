@@ -8,9 +8,9 @@ import (
 // Snapshot/Restore serialize the MMA subsystem through the trace frame
 // codec. Only the authoritative state is framed — the lookahead ring
 // and the occupancy ledgers; every derived index (the ECQF
-// critical-slot rings and bitmap, the bucketed max-trackers, the
-// epoch-stamped scratch) is rebuilt on restore from the authoritative
-// state, exactly as the incremental maintenance would have left it.
+// critical-slot rings and bitmap, the bucketed max-trackers) is
+// rebuilt on restore from the authoritative state, exactly as the
+// incremental maintenance would have left it.
 
 // Snapshot writes the lookahead window contents.
 func (l *Lookahead) Snapshot(w *frame.Writer) {

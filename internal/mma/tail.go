@@ -18,8 +18,8 @@ import (
 // determinism. The occupancy ledger is a dense slice indexed by the
 // logical queue ordinal, and Select resolves the maximum from a
 // bucketed occupancy index maintained by the arrival/transfer/bypass
-// events instead of scanning all Q counters; SelectScan retains the
-// linear scan as the differential-test reference.
+// events instead of scanning all Q counters; the package tests keep
+// the linear scan as its differential reference.
 type TailMMA struct {
 	b   int
 	occ []int32
@@ -116,23 +116,4 @@ func (t *TailMMA) Select(eligible func(cell.QueueID) bool) (cell.QueueID, bool) 
 		}
 	}
 	return cell.NoQueue, false
-}
-
-// SelectScan is the retained reference implementation of Select: the
-// linear scan over the dense logical name space. The differential
-// tests assert Select ≡ SelectScan over seeded random workloads.
-func (t *TailMMA) SelectScan(eligible func(cell.QueueID) bool) (cell.QueueID, bool) {
-	best, bestOcc, found := cell.NoQueue, int32(0), false
-	for i := range t.occ {
-		n := t.occ[i]
-		if n < int32(t.b) || (found && n <= bestOcc) {
-			continue
-		}
-		q := cell.QueueID(i)
-		if eligible != nil && !eligible(q) {
-			continue
-		}
-		best, bestOcc, found = q, n, true
-	}
-	return best, found
 }

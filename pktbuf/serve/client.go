@@ -337,6 +337,11 @@ func (c *Client) resumable() bool {
 	return c.cfg.Retry.Attempts > 0 && c.session != 0 && !c.byeSent
 }
 
+// errServerBye is Submit's answer once the server has said Bye: the
+// reader has exited, so no delivery or reject will ever return window
+// credit, and waiting for it would block forever.
+var errServerBye = fmt.Errorf("serve: server closed the session: %w", io.EOF)
+
 // Submit sends one Submit frame carrying qs, blocking first until the
 // in-system window has room for the whole burst (so a single-writer
 // client never trips CodeWindowFull) and until any in-progress
@@ -359,7 +364,7 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 		return fmt.Errorf("serve: burst of %d exceeds window %d: %w",
 			len(qs), win, pktbuf.ErrBadConfig)
 	}
-	for c.err == nil && !c.draining &&
+	for c.err == nil && !c.draining && !c.byeOK &&
 		(c.reconnectng || c.welcome.Window-c.inFlight < len(qs)) {
 		c.cond.Wait()
 	}
@@ -371,6 +376,10 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 	if c.draining {
 		c.mu.Unlock()
 		return ErrDraining
+	}
+	if c.byeOK {
+		c.mu.Unlock()
+		return errServerBye
 	}
 	c.inFlight += len(qs)
 	c.submitted += uint64(len(qs))
@@ -407,11 +416,11 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 // reconciliation now.
 func (c *Client) submitRaw(qs []pktbuf.Queue, epoch uint64) bool {
 	c.mu.Lock()
-	for c.err == nil && c.epochN == epoch &&
+	for c.err == nil && c.epochN == epoch && !c.byeOK &&
 		(c.reconnectng || c.welcome.Window-c.inFlight < len(qs)) {
 		c.cond.Wait()
 	}
-	if c.err != nil || c.epochN != epoch {
+	if c.err != nil || c.epochN != epoch || c.byeOK {
 		c.mu.Unlock()
 		return false
 	}
