@@ -84,7 +84,7 @@ func main() {
 		classes    = flag.Int("classes", 1, "router mode: service classes per output")
 		workers    = flag.Int("workers", 0, "router mode: worker goroutines (0 = one per port, 1 = serial)")
 		iters      = flag.Int("iters", 1, "router mode: iSLIP iterations per slot")
-		epoch      = flag.Int("epoch", 1, "router mode: epoch-batched speculation window K (1 = lockstep barrier every slot)")
+		epoch      = flag.Int("epoch", 1, "router mode: epoch speculation window K, the slots planned per worker exchange (1 = one-slot epochs, a barrier every slot)")
 		pktBytes   = flag.Int("pktbytes", 576, "router mode: mean packet size in bytes (trimodal mix around it)")
 	)
 	flag.Parse()

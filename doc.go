@@ -86,7 +86,7 @@
 // draws geometric gaps, one RNG call per arrival) and the request
 // policy is idle-stable (StableRequestPolicy), making a load-ρ run
 // cost O(ρ·slots); router.Engine.StepBatch fast-forwards all port
-// shards in lockstep once every port is quiescent. Fast-forwarding
+// shards together once every port is quiescent. Fast-forwarding
 // engages only when idle gaps outlast the request pipeline
 // (lookahead + latency register), so sparse deployments shorten it
 // via the Lookahead/LatencySlots overrides. Seeded differential
@@ -126,16 +126,21 @@
 // repro/pktbuf/router promotes the paper's system context (Figure 1)
 // to the public surface as a concurrent engine: one VOQ buffer shard
 // per input port, each advanced by a dedicated worker goroutine, with
-// the iSLIP request-grant-accept exchange as the only per-slot
-// synchronization barrier. Port ticks touch only port-local state
+// the iSLIP request-grant-accept exchange as the only synchronization
+// barrier. Every slot runs through one path, the epoch planner: the
+// coordinator schedules up to Config.EpochSlots slots ahead against
+// predicted request rows (the first slot's rows read from the buffers
+// themselves), the workers execute the plan between two
+// synchronizations, and each port validates it against its own buffer
+// before every later slot. Port ticks touch only port-local state
 // (dense per-VOQ metadata deques, matching the core's arena
-// discipline), the scheduler consumes only the request vectors the
-// ports published after their previous ticks, and egress is collected
-// in input-port order into a per-batch payload arena — so the sharded
-// engine is deterministic, bit-identical to the serial Workers: 1
-// path (pinned by golden-equivalence tests at both the internal and
-// public layers), race-clean under go test -race, and 0 allocs/op at
-// steady state. cmd/pktbufsim -router -ports N drives it from the
+// discipline), and egress is collected in slot-major, input-port order
+// into a per-batch payload arena — so the engine is deterministic,
+// bit-identical for every Workers and EpochSlots setting (pinned
+// against a serial one-slot-at-a-time oracle in
+// internal/router/oracle_test.go and by golden-equivalence tests at
+// the public layer), race-clean under go test -race, and 0 allocs/op
+// at steady state. cmd/pktbufsim -router -ports N drives it from the
 // CLI; BENCH_baseline.json's router_pr3 section records the scaling
 // baselines.
 //

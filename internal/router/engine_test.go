@@ -19,15 +19,17 @@ type slotRecord struct {
 	payload       []byte
 }
 
-// TestEngineMatchesSerialRouter pins the tentpole determinism claim:
-// the sharded engine's egress stream, stats and buffer verdicts are
-// bit-identical to the serial Router.Step path on the same offered
-// workload, for every worker striping.
+// TestEngineMatchesSerialRouter pins the determinism claim: the
+// sharded engine stepped one slot per StepBatch call produces an
+// egress stream, stats and buffer verdicts bit-identical to the serial
+// oracle on the same offered workload, for every worker striping
+// (buffer stats compared apart from FastForwardedSlots: the engine
+// skips quiescent slots the oracle ticks).
 func TestEngineMatchesSerialRouter(t *testing.T) {
 	const ports, classes, slots = 4, 2, 8000
 	bufCfg := core.Config{B: 8, Bsmall: 2, Banks: 16}
 	for _, workers := range []int{0, 2, 3} {
-		serial, err := New(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2})
+		serial, err := newSerialRouter(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +41,7 @@ func TestEngineMatchesSerialRouter(t *testing.T) {
 		rngB := rand.New(rand.NewSource(42))
 		for slot := 0; slot < slots; slot++ {
 			a := driveWorkload(t, rngA, serial.Offer, serial.Step, serial, ports, classes)
-			b := driveWorkload(t, rngB, eng.Offer, eng.Step, serial, ports, classes)
+			b := driveWorkload(t, rngB, eng.Offer, stepOne(eng), serial, ports, classes)
 			if len(a) != len(b) {
 				t.Fatalf("workers=%d slot %d: serial %d egress, sharded %d", workers, slot, len(a), len(b))
 			}
@@ -55,7 +57,9 @@ func TestEngineMatchesSerialRouter(t *testing.T) {
 			t.Errorf("workers=%d: stats diverged: serial %+v, sharded %+v", workers, serial.Stats(), eng.Stats())
 		}
 		for p := 0; p < ports; p++ {
-			if serial.BufferStats(p) != eng.BufferStats(p) {
+			ss, es := serial.BufferStats(p), eng.BufferStats(p)
+			ss.FastForwardedSlots, es.FastForwardedSlots = 0, 0
+			if ss != es {
 				t.Errorf("workers=%d port %d: buffer stats diverged", workers, p)
 			}
 			if !eng.BufferStats(p).Clean() {
@@ -68,10 +72,20 @@ func TestEngineMatchesSerialRouter(t *testing.T) {
 	}
 }
 
+// stepOne steps an engine one slot per call, reusing one egress slice.
+func stepOne(e *Engine) func() ([]Egress, error) {
+	var out []Egress
+	return func() ([]Egress, error) {
+		var err error
+		out, err = e.StepBatch(1, out[:0])
+		return out, err
+	}
+}
+
 // driveWorkload offers a seeded slot workload and steps once; rv maps
-// VOQ ids through the serial router so both sides use one mapping.
+// VOQ ids through the oracle so both sides use one mapping.
 func driveWorkload(t *testing.T, rng *rand.Rand, offer func(int, packet.Packet) error,
-	step func() ([]Egress, error), rv *Router, ports, classes int) []slotRecord {
+	step func() ([]Egress, error), rv *serialRouter, ports, classes int) []slotRecord {
 	t.Helper()
 	if rng.Intn(3) == 0 {
 		in := rng.Intn(ports)
@@ -98,8 +112,8 @@ func driveWorkload(t *testing.T, rng *rand.Rand, offer func(int, packet.Packet) 
 	return recs
 }
 
-// TestEngineStepBatch: StepBatch(slots) is slot-for-slot identical to
-// repeated Step, and appends into the caller's slice.
+// TestEngineStepBatch: one StepBatch(slots) call is identical to slots
+// one-slot calls, and appends into the caller's slice.
 func TestEngineStepBatch(t *testing.T) {
 	bufCfg := core.Config{B: 8, Bsmall: 2, Banks: 16}
 	a, err := NewEngine(Config{Ports: 2, Classes: 1, Buffer: bufCfg}, 1)
@@ -114,18 +128,19 @@ func TestEngineStepBatch(t *testing.T) {
 	payload := bytes.Repeat([]byte{3}, 2*packet.CellPayload)
 	for port := 0; port < 2; port++ {
 		for k := 0; k < 5; k++ {
-			if err := a.Offer(port, packet.Packet{Flow: a.Router().VOQ(1-port, 0), Payload: payload}); err != nil {
+			if err := a.Offer(port, packet.Packet{Flow: a.VOQ(1-port, 0), Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Offer(port, packet.Packet{Flow: b.Router().VOQ(1-port, 0), Payload: payload}); err != nil {
+			if err := b.Offer(port, packet.Packet{Flow: b.VOQ(1-port, 0), Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	const slots = 3000
 	var fromStep []Egress
+	step := stepOne(a)
 	for s := 0; s < slots; s++ {
-		eg, err := a.Step()
+		eg, err := step()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +200,7 @@ func TestEngineClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(); err != nil {
+	if _, err := e.StepBatch(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -194,8 +209,8 @@ func TestEngineClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Step after Close: %v", err)
+	if _, err := e.StepBatch(1, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("StepBatch after Close: %v", err)
 	}
 	if err := e.Offer(0, packet.Packet{Flow: 0}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Offer after Close: %v", err)
@@ -215,9 +230,6 @@ func TestConfigErrorsWrapBadConfig(t *testing.T) {
 		{Ports: 2, Buffer: core.Config{B: 8, Bsmall: 3, Banks: 16}}, // b does not divide B
 	}
 	for i, cfg := range cases {
-		if _, err := New(cfg); !errors.Is(err, core.ErrBadConfig) {
-			t.Errorf("case %d: New err = %v, want ErrBadConfig", i, err)
-		}
 		if _, err := NewEngine(cfg, 0); !errors.Is(err, core.ErrBadConfig) {
 			t.Errorf("case %d: NewEngine err = %v, want ErrBadConfig", i, err)
 		}
@@ -225,9 +237,9 @@ func TestConfigErrorsWrapBadConfig(t *testing.T) {
 }
 
 // TestEngineZeroAllocSteadyState: once rings and reassembly buffers
-// are warm, the serial engine's slot loop allocates nothing — on the
-// lockstep path and on the epoch plan/execute/commit path alike. (The
-// sharded path is asserted by BenchmarkRouterParallel's ReportAllocs.)
+// are warm, the one-worker engine's plan/execute/commit loop allocates
+// nothing, with one-slot and sixteen-slot epochs alike. (The sharded
+// path is asserted by BenchmarkRouterParallel's ReportAllocs.)
 func TestEngineZeroAllocSteadyState(t *testing.T) {
 	for _, epoch := range []int{1, 16} {
 		t.Run(fmt.Sprintf("epoch=%d", epoch), func(t *testing.T) {
@@ -249,7 +261,7 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 				for s := 0; s < slots; s, slot = s+5, slot+5 {
 					k := slot / 5
 					_ = e.Offer(k%4, packet.Packet{
-						Flow:    e.Router().VOQ((k/4)%4, k%2),
+						Flow:    e.VOQ((k/4)%4, k%2),
 						Payload: payload,
 					})
 					var err error
@@ -263,27 +275,25 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 			if allocs := testing.AllocsPerRun(10, func() { drive(100) }); allocs != 0 {
 				t.Errorf("steady-state engine slots allocated %.2f per 100-slot run", allocs)
 			}
-			if epoch > 1 {
-				es := e.EpochStats()
-				if es.Epochs == 0 {
-					t.Fatal("epoch path never ran")
-				}
-				if es.Divergences != 0 {
-					t.Errorf("epoch execution diverged %d times", es.Divergences)
-				}
+			es := e.EpochStats()
+			if es.Epochs == 0 {
+				t.Fatal("epoch path never ran")
+			}
+			if es.Divergences != 0 {
+				t.Errorf("epoch execution diverged %d times", es.Divergences)
 			}
 		})
 	}
 }
 
-// TestEngineFastForwardMatchesSerial pins the lockstep fast-forward:
-// a StepBatch whose traffic drains mid-batch must skip the quiescent
-// tail and still be bit-identical to the serial router stepping every
-// slot — same egress, same router stats, same per-port buffer stats
-// (skipped-slot counters aside) — and it must actually have skipped.
-// The batch side runs both serially and fully sharded, so the race
-// detector sees the coordinator's fastForward interleaved with live
-// port workers.
+// TestEngineFastForwardMatchesSerial pins the fast-forward with
+// one-slot epochs: a StepBatch whose traffic drains mid-batch must
+// skip the quiescent tail and still be bit-identical to the serial
+// oracle stepping every slot — same egress, same router stats, same
+// per-port buffer stats (skipped-slot counters aside) — and it must
+// actually have skipped. The batch side runs both in place and fully
+// sharded, so the race detector sees the coordinator's fastForward
+// interleaved with live port workers.
 func TestEngineFastForwardMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -309,14 +319,13 @@ func TestEpochFastForwardMatchesSerial(t *testing.T) {
 func testEngineFastForward(t *testing.T, batchWorkers, epochSlots int) {
 	const ports, classes, slots = 4, 2, 20000
 	bufCfg := core.Config{B: 8, Bsmall: 2, Banks: 16}
-	mk := func(workers, epoch int) (*Engine, error) {
-		return NewEngine(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2, EpochSlots: epoch}, workers)
-	}
-	serialEng, err := mk(1, 1)
+	cfg := Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2}
+	serialEng, err := newSerialRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchEng, err := mk(batchWorkers, epochSlots)
+	cfg.EpochSlots = epochSlots
+	batchEng, err := NewEngine(cfg, batchWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +335,8 @@ func testEngineFastForward(t *testing.T, batchWorkers, epochSlots int) {
 		in, out, class := rng.Intn(ports), rng.Intn(ports), rng.Intn(classes)
 		payload := make([]byte, 1+rng.Intn(3*packet.CellPayload))
 		rng.Read(payload)
-		for _, e := range []*Engine{serialEng, batchEng} {
-			if err := e.Offer(in, packet.Packet{Flow: e.Router().VOQ(out, class), Payload: payload}); err != nil {
+		for _, e := range []*Engine{serialEng.Engine, batchEng} {
+			if err := e.Offer(in, packet.Packet{Flow: e.VOQ(out, class), Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
 		}

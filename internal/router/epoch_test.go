@@ -26,8 +26,9 @@ func recordEgress(eg []Egress, dst *[]slotRecord) {
 // worker striping, a seeded bursty workload stepped through
 // epoch-batched StepBatch calls of adversarial lengths (misaligned
 // with K, so epochs are truncated by batch boundaries) must be
-// bit-identical to the serial Router stepping slot by slot — egress
-// stream, router stats and buffer stats included.
+// bit-identical to the serial oracle stepping slot by slot — egress
+// stream, router stats and buffer stats (FastForwardedSlots aside)
+// included.
 func TestEpochMatchesSerial(t *testing.T) {
 	bufCfg := core.Config{B: 8, Bsmall: 2, Banks: 16}
 	for _, pc := range []struct{ ports, classes int }{{4, 1}, {4, 2}, {8, 2}} {
@@ -44,18 +45,18 @@ func TestEpochMatchesSerial(t *testing.T) {
 
 // TestEpochRepairBoundaries drives the repair-boundary scenarios the
 // predictor must survive: a tail SRAM tiny enough that arrivals
-// reject under pressure (the admission horizon must truncate plans
-// and fall back to exact lockstep slots mid-batch), ingress bursts
-// landing between epochs, and VOQs draining dry inside a planned
-// window. The differential bar is unchanged — bit-identical to
-// serial — and the test additionally requires the horizon to have
-// actually engaged.
+// reject under pressure (the admission horizon must end plans at the
+// unguaranteed slot mid-batch, leaving the admit-or-retry decision to
+// the buffer), ingress bursts landing between epochs, and VOQs
+// draining dry inside a planned window. The differential bar is
+// unchanged — bit-identical to the serial oracle — and the test
+// additionally requires the horizon to have actually engaged.
 func TestEpochRepairBoundaries(t *testing.T) {
 	// BankCapacityBlocks bounds the banks so a full tail SRAM rejects
 	// with ErrBufferFull (retry next slot) instead of erroring out.
 	bufCfg := core.Config{B: 8, Bsmall: 2, Banks: 4, BankCapacityBlocks: 4, TailSRAMCells: 6}
 	for _, pc := range []struct{ ports, classes int }{{4, 2}, {8, 2}} {
-		for _, K := range []int{2, 4, 16} {
+		for _, K := range []int{1, 2, 4, 16} {
 			for _, workers := range []int{1, 0} {
 				name := fmt.Sprintf("ports=%d/classes=%d/K=%d/workers=%d", pc.ports, pc.classes, K, workers)
 				t.Run(name, func(t *testing.T) {
@@ -68,7 +69,7 @@ func TestEpochRepairBoundaries(t *testing.T) {
 
 func testEpochEquivalence(t *testing.T, ports, classes, K, workers int, bufCfg core.Config, slots int, wantHorizon bool) {
 	t.Helper()
-	serial, err := New(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2})
+	serial, err := newSerialRouter(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +153,18 @@ func testEpochEquivalence(t *testing.T, ports, classes, K, workers int, bufCfg c
 	if es.PlannedSlots != es.CommittedSlots {
 		t.Errorf("planned %d slots but committed %d", es.PlannedSlots, es.CommittedSlots)
 	}
-	if K > 1 && es.Epochs == 0 {
+	if es.Epochs == 0 {
 		t.Error("epoch path never ran")
 	}
-	if wantHorizon && es.HorizonTruncations+es.SerialFallbackSlots == 0 {
+	// Every slot is either committed from a plan or fast-forwarded:
+	// nothing steps outside the planner.
+	if got, want := es.CommittedSlots+eng.BufferStats(0).FastForwardedSlots, eng.Stats().Slots; got != want {
+		t.Errorf("committed %d + fast-forwarded %d slots, but %d slots stepped",
+			es.CommittedSlots, eng.BufferStats(0).FastForwardedSlots, want)
+	}
+	// A one-slot window has nothing to cut short; K=1 still runs the
+	// reject-pressure differential.
+	if wantHorizon && K > 1 && es.HorizonTruncations+es.SerialFallbackSlots == 0 {
 		t.Error("admission horizon never engaged: the reject-pressure scenario exercised nothing")
 	}
 }
@@ -171,7 +180,7 @@ func testEpochEquivalence(t *testing.T, ports, classes, K, workers int, bufCfg c
 func TestEpochTruncationRepairs(t *testing.T) {
 	const ports, classes = 4, 2
 	bufCfg := core.Config{B: 8, Bsmall: 2, Banks: 16}
-	serial, err := New(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2})
+	serial, err := newSerialRouter(Config{Ports: ports, Classes: classes, Buffer: bufCfg, SchedulerIterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +229,20 @@ func TestEpochTruncationRepairs(t *testing.T) {
 		}
 	}
 	offerBoth(40)
-	stepBoth(50) // warm, already through the epoch path
+	stepBoth(50)  // warm, already through the epoch path
+	offerBoth(40) // a backlog, so the sabotaged tail schedules matches
 
 	// White-box epoch round with a sabotaged plan: run the coordinator
-	// stages by hand the way stepEpochs does.
+	// stages by hand the way StepBatch does.
 	eng.r.egArena = eng.r.egArena[:0]
-	k := eng.planEpoch(8)
+	k, _ := eng.planEpoch(8)
 	if k < 4 {
 		t.Fatalf("planned only %d slots; need ≥ 4 to truncate at slot 2", k)
 	}
 	const divergeAt = 2
+	if eng.Stats().Matches == eng.plan.matches[divergeAt-1] {
+		t.Fatal("the truncated tail scheduled no match: the rollback would exercise nothing")
+	}
 	for i := 0; i < ports; i++ {
 		row := eng.plan.reqVec[(divergeAt*ports+i)*ports : (divergeAt*ports+i)*ports+ports]
 		for o := range row {
@@ -293,7 +306,11 @@ func TestEpochTruncationRepairs(t *testing.T) {
 // TestEpochDivergencePoison: when one port's live state disagrees
 // with the plan while other ports have already run past the boundary,
 // the shards are torn — the engine must deliver the committed prefix,
-// report ErrEpochDiverged, and refuse every subsequent call.
+// report ErrEpochDiverged, and refuse every subsequent call. Like
+// TestEpochTruncationRepairs it sabotages the plan in place, but for
+// one port only: port 2's slot-1 row no longer matches what its
+// buffer derives, so it stops after slot 0 while the other ports
+// execute their full plans.
 func TestEpochDivergencePoison(t *testing.T) {
 	const ports = 4
 	eng, err := NewEngine(Config{Ports: ports, Classes: 1, Buffer: core.Config{B: 8, Bsmall: 2, Banks: 16}, EpochSlots: 8}, 1)
@@ -304,7 +321,7 @@ func TestEpochDivergencePoison(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, packet.CellPayload)
 	for p := 0; p < ports; p++ {
 		for n := 0; n < 6; n++ {
-			if err := eng.Offer(p, packet.Packet{Flow: eng.r.VOQ((p+1)%ports, 0), Payload: payload}); err != nil {
+			if err := eng.Offer(p, packet.Packet{Flow: eng.VOQ((p+1)%ports, 0), Payload: payload}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,21 +329,22 @@ func TestEpochDivergencePoison(t *testing.T) {
 	if _, err := eng.StepBatch(8, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt port 2's published request vector: its slot-0 validation
-	// now fails while the other ports execute their full plans.
-	in := eng.r.inputs[2]
-	for o := range in.reqVec {
-		in.reqVec[o] = cell.QueueID(9999)
+	eng.r.egArena = eng.r.egArena[:0]
+	k, _ := eng.planEpoch(8)
+	if k < 2 {
+		t.Fatalf("planned only %d slots; need ≥ 2 to tear at slot 1", k)
 	}
-	_, err = eng.StepBatch(8, nil)
-	if !errors.Is(err, ErrEpochDiverged) {
-		t.Fatalf("StepBatch on torn state = %v, want ErrEpochDiverged", err)
+	const divergeAt, torn = 1, 2
+	row := eng.plan.reqVec[(divergeAt*ports+torn)*ports : (divergeAt*ports+torn)*ports+ports]
+	for o := range row {
+		row[o] = cell.QueueID(9999) // matches no derived request row
+	}
+	eng.executeEpoch()
+	if _, commit, _, err := eng.commitEpoch(nil); !errors.Is(err, ErrEpochDiverged) || commit != divergeAt {
+		t.Fatalf("torn epoch = commit %d, %v; want commit %d, ErrEpochDiverged", commit, err, divergeAt)
 	}
 	if _, err := eng.StepBatch(1, nil); !errors.Is(err, ErrEpochDiverged) {
 		t.Errorf("StepBatch after poison = %v, want ErrEpochDiverged", err)
-	}
-	if _, err := eng.Step(); !errors.Is(err, ErrEpochDiverged) {
-		t.Errorf("Step after poison = %v, want ErrEpochDiverged", err)
 	}
 	if err := eng.Offer(0, packet.Packet{Flow: 0, Payload: payload}); !errors.Is(err, ErrEpochDiverged) {
 		t.Errorf("Offer after poison = %v, want ErrEpochDiverged", err)

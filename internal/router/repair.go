@@ -2,72 +2,23 @@ package router
 
 import "fmt"
 
-// stepEpochs is StepBatch's EpochSlots > 1 path: a sequence of
-// plan → execute → commit rounds, each amortizing one barrier over up
-// to K slots. Quiescence is probed at epoch boundaries (the in-epoch
-// slots a lockstep engine would have fast-forwarded are ticked
-// instead, which is bit-identical apart from the fast-forward
-// counter); a round that cannot plan even one slot falls back to one
-// exact lockstep slot so the serial reject/retry rule applies.
-func (e *Engine) stepEpochs(slots int, out []Egress) ([]Egress, error) {
-	r := e.r
-	done := 0
-	for done < slots {
-		if r.Quiescent() {
-			r.fastForward(uint64(slots - done))
-			return out, nil
-		}
-		maxK := e.epochK
-		if rem := slots - done; rem < maxK {
-			maxK = rem
-		}
-		k := e.planEpoch(maxK)
-		if k == 0 {
-			// Ingress is waiting on a port whose tail-SRAM budget is
-			// exhausted: no arrival can be guaranteed, so run one
-			// lockstep slot — the buffer itself decides between admit
-			// and reject/retry — and re-plan from whatever it did.
-			e.estats.SerialFallbackSlots++
-			var err error
-			out, err = e.stepSlot(out)
-			if err != nil {
-				return out, fmt.Errorf("slot %d of batch: %w", done, err)
-			}
-			done++
-			continue
-		}
-		e.estats.Epochs++
-		e.estats.PlannedSlots += uint64(k)
-		if k < maxK {
-			e.estats.HorizonTruncations++
-		}
-		e.executeEpoch()
-		var commit, errSlot int
-		var err error
-		out, commit, errSlot, err = e.commitEpoch(out)
-		if err != nil {
-			return out, fmt.Errorf("slot %d of batch: %w", done+errSlot, err)
-		}
-		done += commit
-	}
-	return out, nil
-}
-
 // commitEpoch repairs and retires an executed epoch. The committed
 // prefix is the earliest divergence across ports (the whole plan when
-// none diverged — every healthy run): its deliveries are collected in
-// slot-major, input-port order, exactly the order lockstep slots
-// would have produced. A truncated plan rolls the scheduler state
-// (grant/accept pointers, match counter) back to the per-slot
-// snapshot at the commit point, so the next round re-plans from
-// committed state as if the speculated tail had never been scheduled.
+// none diverged — every healthy run). It is never empty: every port
+// executes slot 0, whose rows the planner read from the buffers. Its
+// deliveries are collected in slot-major, input-port order, exactly
+// the order one-slot epochs would have produced. A truncated plan
+// rolls the scheduler state (grant/accept pointers, match counter)
+// back to the per-slot snapshot at the commit point, so the next round
+// re-plans from committed state as if the speculated tail had never
+// been scheduled.
 //
 // If some port executed past the commit point the shards are torn —
 // those ticks consumed state under a matching the truncation just
 // revoked and cannot be undone — so the engine poisons itself with
 // ErrEpochDiverged after delivering the valid prefix. This is
 // reachable only after a buffer invariant violation (the same regime
-// where the lockstep engine returns per-port invariant errors); the
+// where a one-slot epoch returns per-port invariant errors); the
 // bounded-lag design guarantees divergence-freedom, it does not
 // repair corrupted buffers.
 //
@@ -78,33 +29,20 @@ func (e *Engine) commitEpoch(out []Egress) ([]Egress, int, int, error) {
 	r := e.r
 	p := e.plan
 	P := r.cfg.Ports
-	commit := p.k
-	for i := 0; i < P; i++ {
-		if d := int(e.div[i]); d < commit {
-			commit = d
-		}
+	commit, reach := p.k, 0
+	for _, d := range e.div {
+		commit = min(commit, int(d))
+		reach = max(reach, int(d))
 	}
-	torn := false
-	for i := 0; i < P; i++ {
-		if int(e.div[i]) > commit {
-			torn = true
-			break
-		}
-	}
+	torn := reach > commit
 	if commit < p.k {
 		e.estats.Divergences++
 		// Roll the scheduler back to the commit point: the speculated
 		// tail's grants never happened.
-		if commit == 0 {
-			copy(r.grant, p.grantBase)
-			copy(r.accept, p.acceptBase)
-			r.stats.Matches = p.matchesBase
-		} else {
-			off := (commit - 1) * P
-			copy(r.grant, p.grant[off:off+P])
-			copy(r.accept, p.accept[off:off+P])
-			r.stats.Matches = p.matches[commit-1]
-		}
+		off := (commit - 1) * P
+		copy(r.grant, p.grant[off:off+P])
+		copy(r.accept, p.accept[off:off+P])
+		r.stats.Matches = p.matches[commit-1]
 	}
 	var firstErr error
 	errSlot := 0
@@ -119,7 +57,7 @@ func (e *Engine) commitEpoch(out []Egress) ([]Egress, int, int, error) {
 		r.stats.Slots++
 	}
 	e.estats.CommittedSlots += uint64(commit)
-	if torn || commit == 0 {
+	if torn {
 		e.poisoned = fmt.Errorf("%w: committed %d of %d planned slots", ErrEpochDiverged, commit, p.k)
 		if firstErr == nil {
 			firstErr, errSlot = e.poisoned, commit

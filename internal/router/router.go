@@ -13,16 +13,19 @@
 // A slot decomposes into three building blocks — schedule (the iSLIP
 // request-grant-accept exchange), tickPort (one port's ingress, buffer
 // tick and metadata bookkeeping) and collect (fabric crossing and
-// output reassembly). Router.Step runs them serially; Engine runs
-// tickPort on one worker goroutine per port shard with schedule and
-// collect as the only per-slot serialization points, producing
-// bit-identical results (tickPort touches only port-local state, and
-// collect consumes deliveries in input-port order either way).
+// output reassembly). Engine, the package's one driver, runs every
+// slot through an epoch plan: the coordinator schedules up to K slots
+// ahead, tickPort runs on one worker goroutine per port shard, and
+// collect retires the plan in slot-major, input-port order. tickPort
+// touches only port-local state, so the result is bit-identical for
+// every worker count and every K; the test suite pins it against a
+// serial oracle that composes the same three blocks one slot at a
+// time.
 //
 // All per-cell metadata lives in dense slice-indexed arenas: per-VOQ
 // compacting deques keyed by the delivery sequence order the buffer
-// guarantees, so the steady-state Step path performs no hashing and no
-// allocation.
+// guarantees, so the steady-state StepBatch path performs no hashing
+// and no allocation.
 package router
 
 import (
@@ -55,8 +58,7 @@ type Config struct {
 	// plans up to K consecutive slots of iSLIP matchings in one
 	// serialized pass and hands each worker the whole plan in a single
 	// exchange, so the per-slot barrier becomes a per-epoch barrier
-	// (≤0 = 1 = the lockstep engine; clamped to 4096). The serial
-	// Router ignores it; see Engine.
+	// (≤0 = 1, a one-slot epoch; clamped to 4096). See Engine.
 	EpochSlots int
 }
 
@@ -86,8 +88,8 @@ type Egress struct {
 	Input int
 	// Packet is the reassembled packet (Flow = output×classes+class,
 	// as offered). Its payload lives in the router's egress arena: it
-	// is valid until the next Step / StepAppend / StepBatch call, so
-	// callers that retain egress across steps must copy.
+	// is valid until the next StepBatch call, so callers that retain
+	// egress across steps must copy.
 	Packet packet.Packet
 }
 
@@ -150,25 +152,21 @@ type lineCard struct {
 	// arrival order; per-VOQ FIFO delivery makes the front cell the
 	// one the buffer hands back next.
 	meta []segRing
-	// reqVec[output] is the highest-priority requestable VOQ addressed
-	// to output, refreshed after every tick (cell.NoQueue = none). The
-	// scheduler reads it at the next slot's request phase.
-	reqVec []cell.QueueID
 }
 
-// computeReqVec refreshes reqVec from the buffer state.
-func (in *lineCard) computeReqVec(classes int) {
-	for o := range in.reqVec {
-		in.reqVec[o] = cell.NoQueue
-		base := o * classes
-		for class := 0; class < classes; class++ {
-			q := cell.QueueID(base + class)
-			if in.buf.Requestable(q) > 0 {
-				in.reqVec[o] = q
-				break
-			}
+// request returns the VOQ the port requests for output o: its lowest
+// class with a requestable cell (cell.NoQueue = none). It is the
+// request rule the epoch planner predicts and each port re-derives
+// from its buffer to validate the plan.
+func (in *lineCard) request(o, classes int) cell.QueueID {
+	base := o * classes
+	for c := 0; c < classes; c++ {
+		q := cell.QueueID(base + c)
+		if in.buf.Requestable(q) > 0 {
+			return q
 		}
 	}
+	return cell.NoQueue
 }
 
 // delivery is one port's tick outcome, handed from tickPort to
@@ -188,12 +186,14 @@ type Stats struct {
 	SwitchedCells uint64
 	// Matches counts input-output matches made by the scheduler.
 	Matches uint64
-	// Slots counts Step calls.
+	// Slots counts slots stepped.
 	Slots uint64
 }
 
-// Router is the composed system.
-type Router struct {
+// router is the composed system's state: the line cards, output
+// reassemblers, iSLIP pointers and counters, plus the building blocks
+// (schedule, tickPort, collect) a slot is made of. Engine drives it.
+type router struct {
 	cfg     Config
 	inputs  []*lineCard
 	reasm   []*packet.DenseReassembler // per output port
@@ -203,28 +203,21 @@ type Router struct {
 	voqs    int
 	flowMul cell.QueueID // reassembly namespace multiplier
 
-	// Scheduler and step scratch, reused every slot.
+	// Scheduler scratch, reused every slot.
 	reqMat      []bool // request matrix, [output*Ports+input]
 	grantChoice []int  // per-output granted input this iteration
 	matchedOut  []int  // per-output matched input
-	matched     []int  // per-input matched output
-	deliveries  []delivery
-	egScratch   []Egress
-	// reqRows[i] aliases inputs[i].reqVec: the serial path hands
-	// schedule the live request vectors through the same row-view
-	// interface the epoch planner uses for predicted ones.
-	reqRows [][]cell.QueueID
 	// egArena backs the payloads of returned Egress packets. It is
-	// reset at the start of every Step / StepAppend / (engine)
-	// StepBatch call, so egress stays valid for the whole batch: a
-	// mid-batch grow moves new payloads to a fresh block while
-	// already-returned slices keep the old one alive and untouched.
+	// reset at the start of every StepBatch call, so egress stays
+	// valid for the whole batch: a mid-batch grow moves new payloads
+	// to a fresh block while already-returned slices keep the old one
+	// alive and untouched.
 	egArena []byte
 }
 
-// New builds a router. Rejected configurations return errors matching
-// core.ErrBadConfig.
-func New(cfg Config) (*Router, error) {
+// newRouter builds the router state. Rejected configurations return
+// errors matching core.ErrBadConfig.
+func newRouter(cfg Config) (*router, error) {
 	if cfg.Ports <= 0 {
 		return nil, fmt.Errorf("%w: router: Ports must be positive, got %d", core.ErrBadConfig, cfg.Ports)
 	}
@@ -249,7 +242,7 @@ func New(cfg Config) (*Router, error) {
 	voqs := cfg.Ports * cfg.Classes
 	cfg.Buffer.Q = voqs
 
-	r := &Router{
+	r := &router{
 		cfg:         cfg,
 		grant:       make([]int, cfg.Ports),
 		accept:      make([]int, cfg.Ports),
@@ -258,8 +251,6 @@ func New(cfg Config) (*Router, error) {
 		reqMat:      make([]bool, cfg.Ports*cfg.Ports),
 		grantChoice: make([]int, cfg.Ports),
 		matchedOut:  make([]int, cfg.Ports),
-		matched:     make([]int, cfg.Ports),
-		deliveries:  make([]delivery, cfg.Ports),
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		buf, err := core.New(cfg.Buffer)
@@ -271,15 +262,10 @@ func New(cfg Config) (*Router, error) {
 			arrivals:  make([]uint64, voqs),
 			delivered: make([]uint64, voqs),
 			meta:      make([]segRing, voqs),
-			reqVec:    newNoQueueVec(cfg.Ports),
 		})
 		// Reassembly streams are namespaced per (input, voq) so
 		// same-flow cells of different inputs never interleave.
 		r.reasm = append(r.reasm, packet.NewDenseReassembler(cfg.Ports*voqs))
-	}
-	r.reqRows = make([][]cell.QueueID, cfg.Ports)
-	for i, in := range r.inputs {
-		r.reqRows[i] = in.reqVec
 	}
 	return r, nil
 }
@@ -288,120 +274,13 @@ func New(cfg Config) (*Router, error) {
 // few MB even at large port counts.
 const maxEpochSlots = 4096
 
-func newNoQueueVec(n int) []cell.QueueID {
-	v := make([]cell.QueueID, n)
-	for i := range v {
-		v[i] = cell.NoQueue
-	}
-	return v
-}
-
-// Config returns the normalized configuration.
-func (r *Router) Config() Config { return r.cfg }
-
-// VOQ maps (output, class) to the logical queue id used inside each
-// input buffer.
-func (r *Router) VOQ(output, class int) cell.QueueID {
-	return cell.QueueID(output*r.cfg.Classes + class)
-}
-
-// Offer enqueues a packet at an input port. The packet's Flow must be
-// a valid VOQ id (use VOQ to build it). The segmented cells alias
-// p.Payload until the packet leaves the router.
-func (r *Router) Offer(port int, p packet.Packet) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("%w: %d", ErrBadPort, port)
-	}
-	if p.Flow < 0 || int(p.Flow) >= r.voqs {
-		return fmt.Errorf("%w: %d", ErrBadFlow, p.Flow)
-	}
-	in := r.inputs[port]
-	n := packet.CellCount(len(p.Payload))
-	if in.pending.len()+n > r.cfg.IngressCap {
-		return fmt.Errorf("%w: port %d", ErrIngressFull, port)
-	}
-	in.pending.ensure(n)
-	in.pending.cells = in.seg.SegmentAppend(in.pending.cells, p)
-	r.stats.OfferedPackets++
-	return nil
-}
-
-// OfferBatch enqueues packets at an input port in one validated pass:
-// the port is bounds-checked once, the accepted prefix is sized
-// against the ingress budget up front, and its cells are segmented in
-// a single run with one ring compaction. It returns the number of
-// packets accepted and the error that stopped the run (ErrBadFlow, or
-// ErrIngressFull when the next packet would overflow the backlog); the
-// remaining packets are not offered.
-func (r *Router) OfferBatch(port int, ps []packet.Packet) (int, error) {
-	if port < 0 || port >= r.cfg.Ports {
-		return 0, fmt.Errorf("%w: %d", ErrBadPort, port)
-	}
-	in := r.inputs[port]
-	budget := r.cfg.IngressCap - in.pending.len()
-	n, cells := 0, 0
-	var stop error
-	for k := range ps {
-		if ps[k].Flow < 0 || int(ps[k].Flow) >= r.voqs {
-			stop = fmt.Errorf("%w: %d", ErrBadFlow, ps[k].Flow)
-			break
-		}
-		c := packet.CellCount(len(ps[k].Payload))
-		if cells+c > budget {
-			stop = fmt.Errorf("%w: port %d", ErrIngressFull, port)
-			break
-		}
-		n++
-		cells += c
-	}
-	in.pending.ensure(cells)
-	for k := 0; k < n; k++ {
-		in.pending.cells = in.seg.SegmentAppend(in.pending.cells, ps[k])
-	}
-	r.stats.OfferedPackets += uint64(n)
-	return n, stop
-}
-
-// IngressBacklog returns the number of cells waiting to enter port's
-// buffer.
-func (r *Router) IngressBacklog(port int) int { return r.inputs[port].pending.len() }
-
-// BufferStats exposes an input buffer's statistics.
-func (r *Router) BufferStats(port int) core.Stats { return r.inputs[port].buf.Stats() }
-
-// Stats returns the router-level counters.
-func (r *Router) Stats() Stats { return r.stats }
-
-// Quiescent reports whether a Step would be a pure slot-counter
-// advance on every port: no ingress cell is waiting, no port's
-// request vector names a VOQ (so the iSLIP exchange makes no match
-// and moves no pointer), and every buffer shard is itself quiescent.
-// The checks run cheapest-first and bail on the first busy port, so
-// a loaded router pays almost nothing for the probe.
-func (r *Router) Quiescent() bool {
-	for _, in := range r.inputs {
-		if in.pending.len() > 0 {
-			return false
-		}
-		for _, q := range in.reqVec {
-			if q != cell.NoQueue {
-				return false
-			}
-		}
-		if !in.buf.Quiescent() {
-			return false
-		}
-	}
-	return true
-}
-
 // fastForward advances all port shards by n slots in lockstep; the
-// caller has established Quiescent. It is bit-identical to n Steps of
-// a quiescent router: every buffer fast-forwards (which is exact per
-// core.Buffer.FastForward), the request vectors recomputed by those
-// skipped ticks would be unchanged, and the only router-level state a
-// quiescent slot touches is the slot counter.
-func (r *Router) fastForward(n uint64) {
+// caller has established Engine.Quiescent. It is bit-identical to
+// stepping n quiescent slots: every buffer fast-forwards (which is
+// exact per core.Buffer.FastForward), no VOQ is requestable so the
+// iSLIP exchange would match nothing and move no pointer, and the only
+// router-level state a quiescent slot touches is the slot counter.
+func (r *router) fastForward(n uint64) {
 	for _, in := range r.inputs {
 		in.buf.FastForward(n)
 	}
@@ -410,16 +289,12 @@ func (r *Router) fastForward(n uint64) {
 
 // schedule computes one slot's input→output matching with iterative
 // round-robin request-grant-accept (iSLIP) over the given request
-// rows, writing matched[input] = output or -1. It is the single
-// serialization point of the sharded engine. reqRows[i][o] names the
-// VOQ input i would serve to output o (cell.NoQueue = none): the
-// serial path passes r.reqRows (live per-port vectors published by the
-// ports' previous ticks); the epoch planner passes rows predicted from
-// a synthetic occupancy view, so both evolve the grant/accept pointers
-// through identical code.
+// rows, writing matched[input] = output or -1. reqRows[i][o] names the
+// VOQ input i would serve to output o (cell.NoQueue = none); the epoch
+// planner passes rows predicted from its occupancy view.
 //
 //pktbuf:hotpath
-func (r *Router) schedule(reqRows [][]cell.QueueID, matched []int) {
+func (r *router) schedule(reqRows [][]cell.QueueID, matched []int) {
 	P := r.cfg.Ports
 	for i := 0; i < P; i++ {
 		matched[i], r.matchedOut[i] = -1, -1
@@ -490,14 +365,17 @@ func (r *Router) schedule(reqRows [][]cell.QueueID, matched []int) {
 }
 
 // tickPort advances one port one slot: admit one pending ingress cell,
-// tick the buffer with the fabric request for the matched output, and
-// resolve the delivered cell's metadata. It touches only the port's
-// lineCard, so the engine runs it concurrently across ports.
+// tick the buffer with request (the VOQ the planned row names for the
+// matched output, cell.NoQueue when unmatched), and resolve the
+// delivered cell's metadata. An arrival the buffer rejects with
+// ErrBufferFull stays pending and retries next slot. It touches only
+// the port's lineCard, so the engine runs it concurrently across
+// ports.
 //
 //pktbuf:hotpath
-func (r *Router) tickPort(i, matchedOut int) delivery {
+func (r *router) tickPort(i int, request cell.QueueID) delivery {
 	in := r.inputs[i]
-	tick := core.TickInput{Arrival: cell.NoQueue, Request: cell.NoQueue}
+	tick := core.TickInput{Arrival: cell.NoQueue, Request: request}
 
 	// Ingress: admit one pending cell.
 	admit := false
@@ -505,12 +383,6 @@ func (r *Router) tickPort(i, matchedOut int) delivery {
 		tick.Arrival = in.pending.front().Flow
 		admit = true
 	}
-	// Fabric request for the matched output; the scheduler only
-	// matches ports whose request vector named a VOQ.
-	if matchedOut >= 0 {
-		tick.Request = in.reqVec[matchedOut]
-	}
-
 	res, err := in.buf.Tick(tick)
 	var d delivery
 	if err != nil {
@@ -519,7 +391,6 @@ func (r *Router) tickPort(i, matchedOut int) delivery {
 			admit = false
 		} else {
 			d.err = fmt.Errorf("router: input %d: %w", i, err) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
-			in.computeReqVec(r.cfg.Classes)
 			return d
 		}
 	}
@@ -536,7 +407,6 @@ func (r *Router) tickPort(i, matchedOut int) delivery {
 		mq := &in.meta[dc.Queue]
 		if mq.len() == 0 || in.delivered[dc.Queue] != dc.Seq {
 			d.err = fmt.Errorf("router: input %d delivered unknown cell %v", i, dc) //pktbuf:allow hotpath-noalloc cold invariant-violation path; allocates only when the slot already failed
-			in.computeReqVec(r.cfg.Classes)
 			return d
 		}
 		in.delivered[dc.Queue]++
@@ -544,7 +414,6 @@ func (r *Router) tickPort(i, matchedOut int) delivery {
 		d.queue = dc.Queue
 		d.ok = true
 	}
-	in.computeReqVec(r.cfg.Classes)
 	return d
 }
 
@@ -553,7 +422,7 @@ func (r *Router) tickPort(i, matchedOut int) delivery {
 // serially in input-port order so egress order is deterministic.
 //
 //pktbuf:hotpath
-func (r *Router) collect(i int, d delivery, out []Egress) ([]Egress, error) {
+func (r *router) collect(i int, d delivery, out []Egress) ([]Egress, error) {
 	if d.err != nil {
 		return out, d.err
 	}
@@ -574,50 +443,12 @@ func (r *Router) collect(i int, d delivery, out []Egress) ([]Egress, error) {
 		p.Flow %= r.flowMul // restore the offered flow id
 		// Copy the payload out of the reassembler's per-flow buffer
 		// (overwritten by the stream's next packet) into the egress
-		// arena (stable until the next step call).
+		// arena (stable until the next StepBatch call).
 		off := len(r.egArena)
 		r.egArena = append(r.egArena, p.Payload...) //pktbuf:allow hotpath-noalloc egress arena append: amortized, capacity reused across steps
 		p.Payload = r.egArena[off:len(r.egArena):len(r.egArena)]
-		out = append(out, Egress{Output: output, Input: i, Packet: p}) //pktbuf:allow hotpath-noalloc appends into the reused egScratch backing array; grows only on the first steps
+		out = append(out, Egress{Output: output, Input: i, Packet: p}) //pktbuf:allow hotpath-noalloc appends into the caller's reused egress slice; grows only on the first steps
 		r.stats.DeliveredPackets++
 	}
 	return out, nil
-}
-
-// Step advances the router one slot: one ingress cell per port, one
-// fabric matching, one buffer tick per port, and output reassembly.
-// It returns the packets completed this slot; the slice (and the
-// packet payloads, see Egress) is scratch reused by the next Step.
-func (r *Router) Step() ([]Egress, error) {
-	out, err := r.StepAppend(r.egScratch[:0])
-	r.egScratch = out
-	return out, err
-}
-
-// StepAppend is Step appending the slot's egress to out, for callers
-// that manage their own egress buffer. On a tick error the slot still
-// completes on every port; the first error in input-port order is
-// returned.
-func (r *Router) StepAppend(out []Egress) ([]Egress, error) {
-	r.egArena = r.egArena[:0]
-	return r.stepSlot(out)
-}
-
-// stepSlot advances one slot without resetting the egress arena (the
-// engine's StepBatch resets it once per batch).
-func (r *Router) stepSlot(out []Egress) ([]Egress, error) {
-	r.schedule(r.reqRows, r.matched)
-	for i := range r.inputs {
-		r.deliveries[i] = r.tickPort(i, r.matched[i])
-	}
-	var firstErr error
-	for i := range r.inputs {
-		var err error
-		out, err = r.collect(i, r.deliveries[i], out)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	r.stats.Slots++
-	return out, firstErr
 }

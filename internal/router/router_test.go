@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,185 +11,177 @@ import (
 	"repro/internal/packet"
 )
 
-func testRouter(t *testing.T, ports, classes int) *Router {
+var testBuffer = core.Config{B: 8, Bsmall: 2, Banks: 16}
+
+// forEachEngine runs f against a fresh engine built from cfg at every
+// shipped stepping shape: workers ∈ {1, 0} × EpochSlots ∈ {1, 16}.
+func forEachEngine(t *testing.T, cfg Config, f func(t *testing.T, e *Engine)) {
 	t.Helper()
-	r, err := New(Config{
-		Ports:   ports,
-		Classes: classes,
-		Buffer:  core.Config{B: 8, Bsmall: 2, Banks: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 0} {
+		for _, K := range []int{1, 16} {
+			t.Run(fmt.Sprintf("workers=%d/K=%d", workers, K), func(t *testing.T) {
+				c := cfg
+				c.EpochSlots = K
+				e, err := NewEngine(c, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				f(t, e)
+			})
+		}
 	}
-	return r
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Ports: 0}); err == nil {
+	if _, err := NewEngine(Config{Ports: 0}, 1); err == nil {
 		t.Error("zero ports accepted")
 	}
 	// Bad buffer geometry propagates.
-	if _, err := New(Config{Ports: 2, Buffer: core.Config{B: 8, Bsmall: 3, Banks: 16}}); err == nil {
+	if _, err := NewEngine(Config{Ports: 2, Buffer: core.Config{B: 8, Bsmall: 3, Banks: 16}}, 1); err == nil {
 		t.Error("bad buffer config accepted")
 	}
-	r := testRouter(t, 4, 2)
-	if got := r.VOQ(3, 1); got != 7 {
+	e, err := NewEngine(Config{Ports: 4, Classes: 2, Buffer: testBuffer}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.VOQ(3, 1); got != 7 {
 		t.Errorf("VOQ(3,1) = %d", got)
 	}
 }
 
 func TestOfferValidation(t *testing.T) {
-	r := testRouter(t, 2, 1)
-	if err := r.Offer(5, packet.Packet{Flow: 0}); !errors.Is(err, ErrBadPort) {
+	e, err := NewEngine(Config{Ports: 2, Classes: 1, Buffer: testBuffer}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Offer(5, packet.Packet{Flow: 0}); !errors.Is(err, ErrBadPort) {
 		t.Errorf("err = %v", err)
 	}
-	if err := r.Offer(0, packet.Packet{Flow: 99}); !errors.Is(err, ErrBadFlow) {
+	if err := e.Offer(0, packet.Packet{Flow: 99}); !errors.Is(err, ErrBadFlow) {
 		t.Errorf("err = %v", err)
 	}
-	if err := r.Offer(0, packet.Packet{Flow: -1}); !errors.Is(err, ErrBadFlow) {
+	if err := e.Offer(0, packet.Packet{Flow: -1}); !errors.Is(err, ErrBadFlow) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestIngressCap(t *testing.T) {
-	r, err := New(Config{
-		Ports: 2, Classes: 1,
-		Buffer:     core.Config{B: 8, Bsmall: 2, Banks: 16},
-		IngressCap: 4,
+	forEachEngine(t, Config{Ports: 2, Classes: 1, Buffer: testBuffer, IngressCap: 4}, func(t *testing.T, e *Engine) {
+		big := packet.Packet{Flow: 0, Payload: make([]byte, 3*packet.CellPayload)}
+		if err := e.Offer(0, big); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Offer(0, big); !errors.Is(err, ErrIngressFull) {
+			t.Errorf("err = %v, want ErrIngressFull", err)
+		}
+		if got := e.IngressBacklog(0); got != 3 {
+			t.Errorf("backlog = %d", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := packet.Packet{Flow: 0, Payload: make([]byte, 3*packet.CellPayload)}
-	if err := r.Offer(0, big); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Offer(0, big); !errors.Is(err, ErrIngressFull) {
-		t.Errorf("err = %v, want ErrIngressFull", err)
-	}
-	if got := r.IngressBacklog(0); got != 3 {
-		t.Errorf("backlog = %d", got)
-	}
 }
 
 func TestSinglePacketAcrossFabric(t *testing.T) {
-	r := testRouter(t, 2, 1)
-	payload := bytes.Repeat([]byte{0x5A}, 2*packet.CellPayload+7)
-	if err := r.Offer(0, packet.Packet{Flow: r.VOQ(1, 0), Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	var got []Egress
-	for slot := 0; slot < 5000 && len(got) == 0; slot++ {
-		eg, err := r.Step()
+	forEachEngine(t, Config{Ports: 2, Classes: 1, Buffer: testBuffer}, func(t *testing.T, e *Engine) {
+		payload := bytes.Repeat([]byte{0x5A}, 2*packet.CellPayload+7)
+		if err := e.Offer(0, packet.Packet{Flow: e.VOQ(1, 0), Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.StepBatch(5000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, eg...)
-	}
-	if len(got) != 1 {
-		t.Fatalf("delivered %d packets", len(got))
-	}
-	e := got[0]
-	if e.Output != 1 || e.Input != 0 {
-		t.Errorf("routing: %+v", e)
-	}
-	if !bytes.Equal(e.Packet.Payload, payload) {
-		t.Error("payload corrupted in flight")
-	}
-	st := r.Stats()
-	if st.DeliveredPackets != 1 || st.SwitchedCells != 3 {
-		t.Errorf("stats = %+v", st)
-	}
+		if len(got) != 1 {
+			t.Fatalf("delivered %d packets", len(got))
+		}
+		g := got[0]
+		if g.Output != 1 || g.Input != 0 {
+			t.Errorf("routing: %+v", g)
+		}
+		if !bytes.Equal(g.Packet.Payload, payload) {
+			t.Error("payload corrupted in flight")
+		}
+		st := e.Stats()
+		if st.DeliveredPackets != 1 || st.SwitchedCells != 3 || st.Slots != 5000 {
+			t.Errorf("stats = %+v", st)
+		}
+	})
 }
 
 // TestUniformTrafficConservation pushes random packets through a 4×4
 // router and checks every single one emerges intact at the right port.
 func TestUniformTrafficConservation(t *testing.T) {
 	const ports, classes = 4, 2
-	r := testRouter(t, ports, classes)
-	rng := rand.New(rand.NewSource(99))
-
-	type want struct{ payload []byte }
-	sent := map[int]map[int][]want{} // output -> input -> packets in order
-	for o := 0; o < ports; o++ {
-		sent[o] = map[int][]want{}
-	}
-	offered := 0
-	for slot := 0; slot < 30000; slot++ {
-		// Offer a packet now and then (mean size a few cells).
-		if offered < 600 && rng.Intn(8) == 0 {
-			in := rng.Intn(ports)
-			out := rng.Intn(ports)
-			class := rng.Intn(classes)
-			payload := make([]byte, rng.Intn(5*packet.CellPayload))
-			rng.Read(payload)
-			p := packet.Packet{Flow: r.VOQ(out, class), Payload: payload}
-			if err := r.Offer(in, p); err == nil {
-				sent[out][in] = append(sent[out][in], want{payload: payload})
-				offered++
+	forEachEngine(t, Config{Ports: ports, Classes: classes, Buffer: testBuffer}, func(t *testing.T, e *Engine) {
+		rng := rand.New(rand.NewSource(99))
+		sent := map[int]map[int][][]byte{} // output -> input -> payloads in order
+		for o := 0; o < ports; o++ {
+			sent[o] = map[int][][]byte{}
+		}
+		match := func(eg []Egress) {
+			t.Helper()
+			for _, g := range eg {
+				q := sent[g.Output][g.Input]
+				// Classes may reorder relative to each other, so
+				// search the first few packets of the pair.
+				found := -1
+				for k := 0; k < len(q) && k < 8; k++ {
+					if bytes.Equal(q[k], g.Packet.Payload) {
+						found = k
+						break
+					}
+				}
+				if found < 0 {
+					t.Fatalf("payload mismatch at output %d from input %d", g.Output, g.Input)
+				}
+				sent[g.Output][g.Input] = append(q[:found], q[found+1:]...)
 			}
 		}
-		eg, err := r.Step()
-		if err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		for _, e := range eg {
-			q := sent[e.Output][e.Input]
-			if len(q) == 0 {
-				t.Fatalf("unexpected packet at output %d from input %d", e.Output, e.Input)
-			}
-			// Per (input→output) pair with one class... classes may
-			// reorder relative to each other, so search the first few.
-			found := -1
-			for k := 0; k < len(q) && k < 8; k++ {
-				if bytes.Equal(q[k].payload, e.Packet.Payload) {
-					found = k
-					break
+		// One packet (mean size a few cells) every 8 slots.
+		offered := 0
+		var out []Egress
+		for slot := 0; slot < 30000; slot += 8 {
+			if offered < 600 {
+				in, o, class := rng.Intn(ports), rng.Intn(ports), rng.Intn(classes)
+				payload := make([]byte, rng.Intn(5*packet.CellPayload))
+				rng.Read(payload)
+				if err := e.Offer(in, packet.Packet{Flow: e.VOQ(o, class), Payload: payload}); err == nil {
+					sent[o][in] = append(sent[o][in], payload)
+					offered++
 				}
 			}
-			if found < 0 {
-				t.Fatalf("payload mismatch at output %d from input %d", e.Output, e.Input)
+			var err error
+			out, err = e.StepBatch(8, out[:0])
+			if err != nil {
+				t.Fatalf("slot %d: %v", slot, err)
 			}
-			sent[e.Output][e.Input] = append(q[:found], q[found+1:]...)
+			match(out)
 		}
-	}
-	// Drain.
-	for slot := 0; slot < 200000 && r.Stats().DeliveredPackets < uint64(offered); slot++ {
-		eg, err := r.Step()
-		if err != nil {
-			t.Fatal(err)
+		for slot := 0; slot < 200000 && e.Stats().DeliveredPackets < uint64(offered); slot += 64 {
+			var err error
+			out, err = e.StepBatch(64, out[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			match(out)
 		}
-		for _, e := range eg {
-			q := sent[e.Output][e.Input]
-			found := -1
-			for k := 0; k < len(q) && k < 8; k++ {
-				if bytes.Equal(q[k].payload, e.Packet.Payload) {
-					found = k
-					break
+		if got := e.Stats().DeliveredPackets; got != uint64(offered) {
+			t.Fatalf("delivered %d of %d packets", got, offered)
+		}
+		for o := range sent {
+			for i := range sent[o] {
+				if len(sent[o][i]) != 0 {
+					t.Errorf("output %d input %d: %d packets lost", o, i, len(sent[o][i]))
 				}
 			}
-			if found < 0 {
-				t.Fatalf("drain: payload mismatch at output %d", e.Output)
-			}
-			sent[e.Output][e.Input] = append(q[:found], q[found+1:]...)
 		}
-	}
-	if got := r.Stats().DeliveredPackets; got != uint64(offered) {
-		t.Fatalf("delivered %d of %d packets", got, offered)
-	}
-	for o := range sent {
-		for i := range sent[o] {
-			if len(sent[o][i]) != 0 {
-				t.Errorf("output %d input %d: %d packets lost", o, i, len(sent[o][i]))
+		// Every input buffer upheld its guarantees.
+		for p := 0; p < ports; p++ {
+			if st := e.BufferStats(p); !st.Clean() {
+				t.Errorf("input %d buffer: %v", p, st)
 			}
 		}
-	}
-	// Every input buffer upheld its guarantees.
-	for p := 0; p < ports; p++ {
-		if st := r.BufferStats(p); !st.Clean() {
-			t.Errorf("input %d buffer: %v", p, st)
-		}
-	}
+	})
 }
 
 // TestHotspotOutputContention: all inputs target one output; the
@@ -196,93 +189,97 @@ func TestUniformTrafficConservation(t *testing.T) {
 // nothing is lost.
 func TestHotspotOutputContention(t *testing.T) {
 	const ports = 4
-	r := testRouter(t, ports, 1)
-	const perInput = 30
-	for i := 0; i < ports; i++ {
-		for k := 0; k < perInput; k++ {
-			p := packet.Packet{Flow: r.VOQ(2, 0), Payload: []byte{byte(i), byte(k)}}
-			if err := r.Offer(i, p); err != nil {
+	forEachEngine(t, Config{Ports: ports, Classes: 1, Buffer: testBuffer}, func(t *testing.T, e *Engine) {
+		const perInput = 30
+		for i := 0; i < ports; i++ {
+			for k := 0; k < perInput; k++ {
+				p := packet.Packet{Flow: e.VOQ(2, 0), Payload: []byte{byte(i), byte(k)}}
+				if err := e.Offer(i, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := uint64(ports * perInput)
+		var out []Egress
+		for slot := 0; slot < 100000 && e.Stats().DeliveredPackets < want; slot += 64 {
+			var err error
+			out, err = e.StepBatch(64, out[:0])
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	want := uint64(ports * perInput)
-	for slot := 0; slot < 100000 && r.Stats().DeliveredPackets < want; slot++ {
-		eg, err := r.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range eg {
-			if e.Output != 2 {
-				t.Fatalf("packet at wrong output %d", e.Output)
+			for _, g := range out {
+				if g.Output != 2 {
+					t.Fatalf("packet at wrong output %d", g.Output)
+				}
 			}
 		}
-	}
-	if got := r.Stats().DeliveredPackets; got != want {
-		t.Fatalf("delivered %d of %d", got, want)
-	}
+		if got := e.Stats().DeliveredPackets; got != want {
+			t.Fatalf("delivered %d of %d", got, want)
+		}
+	})
 }
 
 // TestISLIPDesynchronization: under full uniform backlog, an
 // iSLIP-scheduled fabric should approach one match per output per
 // slot (the classic 100%-throughput behaviour for uniform traffic).
 func TestISLIPDesynchronization(t *testing.T) {
-	const ports = 4
-	r := testRouter(t, ports, 1)
-	rng := rand.New(rand.NewSource(4))
-	// Keep every input backlogged for every output: offer one 1-cell
-	// packet per input per slot (full load, uniform destinations).
-	step := func() {
-		t.Helper()
-		for i := 0; i < ports; i++ {
-			p := packet.Packet{Flow: r.VOQ(rng.Intn(ports), 0), Payload: []byte{1}}
-			_ = r.Offer(i, p) // ingress-full is fine under full load
+	const ports, batch = 4, 16
+	forEachEngine(t, Config{Ports: ports, Classes: 1, Buffer: testBuffer}, func(t *testing.T, e *Engine) {
+		rng := rand.New(rand.NewSource(4))
+		// Keep every input backlogged for every output: offer one
+		// 1-cell packet per input per slot (full load, uniform
+		// destinations).
+		step := func() {
+			t.Helper()
+			for s := 0; s < batch; s++ {
+				for i := 0; i < ports; i++ {
+					p := packet.Packet{Flow: e.VOQ(rng.Intn(ports), 0), Payload: []byte{1}}
+					_ = e.Offer(i, p) // ingress-full is fine under full load
+				}
+			}
+			if _, err := e.StepBatch(batch, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := r.Step(); err != nil {
-			t.Fatal(err)
+		// Warm up: fill the VOQs and desynchronize the pointers.
+		for slot := 0; slot < 1500; slot += batch {
+			step()
 		}
-	}
-	// Warm up: fill the VOQs and desynchronize the pointers.
-	for slot := 0; slot < 1500; slot++ {
-		step()
-	}
-	before := r.Stats().Matches
-	const window = 400
-	for slot := 0; slot < window; slot++ {
-		step()
-	}
-	rate := float64(r.Stats().Matches-before) / float64(window) / ports
-	if rate < 0.9 {
-		t.Errorf("match rate %.2f per output per slot, want ≥0.9 (iSLIP desync)", rate)
-	}
+		before := e.Stats().Matches
+		const window = 400
+		for slot := 0; slot < window; slot += batch {
+			step()
+		}
+		rate := float64(e.Stats().Matches-before) / float64(window) / ports
+		if rate < 0.9 {
+			t.Errorf("match rate %.2f per output per slot, want ≥0.9 (iSLIP desync)", rate)
+		}
+	})
 }
 
 // TestMultiIterationScheduler: extra iterations never reduce the
 // matching.
 func TestMultiIterationScheduler(t *testing.T) {
 	for _, iters := range []int{1, 2, 4} {
-		r, err := New(Config{
-			Ports: 4, Classes: 1,
-			Buffer:              core.Config{B: 8, Bsmall: 2, Banks: 16},
-			SchedulerIterations: iters,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			for o := 0; o < 4; o++ {
-				if err := r.Offer(i, packet.Packet{Flow: r.VOQ(o, 0), Payload: []byte{1}}); err != nil {
-					t.Fatal(err)
+		t.Run(fmt.Sprintf("iters=%d", iters), func(t *testing.T) {
+			cfg := Config{Ports: 4, Classes: 1, Buffer: testBuffer, SchedulerIterations: iters}
+			forEachEngine(t, cfg, func(t *testing.T, e *Engine) {
+				for i := 0; i < 4; i++ {
+					for o := 0; o < 4; o++ {
+						if err := e.Offer(i, packet.Packet{Flow: e.VOQ(o, 0), Payload: []byte{1}}); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
-		}
-		for slot := 0; slot < 2000 && r.Stats().DeliveredPackets < 16; slot++ {
-			if _, err := r.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if r.Stats().DeliveredPackets != 16 {
-			t.Errorf("iters=%d: delivered %d of 16", iters, r.Stats().DeliveredPackets)
-		}
+				for slot := 0; slot < 2000 && e.Stats().DeliveredPackets < 16; slot += 16 {
+					if _, err := e.StepBatch(16, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := e.Stats().DeliveredPackets; got != 16 {
+					t.Errorf("delivered %d of 16", got)
+				}
+			})
+		})
 	}
 }

@@ -84,8 +84,9 @@ func driveEngine(b *testing.B, e *router.Engine, ports, classes int) {
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }
 
-// BenchmarkRouterStep is the serial reference: the whole engine on
-// one goroutine, across the port counts of the scaling table.
+// BenchmarkRouterStep is the one-worker engine: every port runs in
+// place on the calling goroutine, one-slot epochs, across the port
+// counts of the scaling table.
 func BenchmarkRouterStep(b *testing.B) {
 	for _, ports := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("ports=%d", ports), func(b *testing.B) {
@@ -115,7 +116,7 @@ func BenchmarkRouterParallel(b *testing.B) {
 // per-slot figures are reported as explicit metrics — ns_slot (the
 // comparable cost) and sync_ops_slot (the coordinator↔worker channel
 // operations the epoch amortizes: 2×workers at K=1, 2×workers/K for
-// larger windows). K=1 is the lockstep barrier for reference.
+// larger windows). K=1, one barrier per slot, is the reference.
 func BenchmarkRouterEpoch(b *testing.B) {
 	const ports, classes = 8, 2
 	for _, K := range []int{1, 4, 16} {

@@ -8,20 +8,20 @@
 //
 // The engine is sharded for concurrency: each input port's buffer
 // shard is advanced by a dedicated worker goroutine, and the iSLIP
-// request-grant-accept exchange is the only per-slot synchronization
-// barrier — the "serialize only at the narrow bridge" discipline.
-// Port ticks touch only port-local state, the scheduler reads only
-// the request vectors the ports published after their previous ticks,
-// and egress is collected in input-port order, so the sharded engine
-// is deterministic and bit-identical to the serial path (Workers: 1),
-// which the test suite pins with a golden-equivalence test.
-//
-// Config.EpochSlots batches that barrier: the coordinator plans up to
-// K slots of matchings in one pass against analytically predicted
-// request vectors and the workers execute the whole plan between two
-// synchronizations, cutting coordination cost per slot by ~K× while
-// remaining bit-identical for every K (see the README's "Epoch
-// batching" section for the design and measured trade-offs).
+// request-grant-accept exchange is the only synchronization barrier —
+// the "serialize only at the narrow bridge" discipline. Every slot
+// runs through an epoch plan: the coordinator schedules up to
+// Config.EpochSlots = K slots of matchings in one pass against
+// analytically predicted request rows, and the workers execute the
+// whole plan between two synchronizations, so coordination cost per
+// slot falls ~K× (K = 1 is one barrier per slot). Port ticks touch
+// only port-local state, each port validates the plan against its own
+// buffer before every slot after the first, and egress is collected
+// in slot-major, input-port order, so the engine is deterministic and
+// bit-identical for every Workers and EpochSlots setting; the test
+// suite pins it against a serial one-slot-at-a-time oracle (see the
+// README's "Epoch batching" section for the design and measured
+// trade-offs).
 //
 // A minimal session:
 //
@@ -61,8 +61,8 @@ var (
 	ErrBadFlow = irouter.ErrBadFlow
 	// ErrClosed reports use of an engine after Close.
 	ErrClosed = irouter.ErrClosed
-	// ErrEpochDiverged reports that epoch-batched execution
-	// (Config.EpochSlots > 1) diverged from its plan with shards
+	// ErrEpochDiverged reports that epoch execution diverged from
+	// its plan with shards
 	// already past the divergence point, leaving the engine torn; the
 	// egress returned alongside it is the valid committed prefix.
 	// Reachable only after a buffer invariant violation — in healthy
@@ -90,17 +90,18 @@ type Config struct {
 	// (0 = a generous default of 4096 cells).
 	IngressCap int
 	// Workers selects the sharding: 0 runs one worker goroutine per
-	// port (the default), 1 runs the serial reference path in place
-	// with no goroutines, and 2..Ports-1 stripes the ports across that
-	// many workers. Every setting produces bit-identical results.
+	// port (the default), 1 runs every port in place on the calling
+	// goroutine with no worker goroutines, and 2..Ports-1 stripes the
+	// ports across that many workers. Every setting produces
+	// bit-identical results.
 	Workers int
-	// EpochSlots is the speculation window K of the epoch-batched
-	// engine: StepBatch runs as a sequence of K-slot epochs, each
-	// planned in one serialized iSLIP pass and executed by the workers
-	// between a single pair of synchronizations. 0 or 1 selects the
-	// lockstep engine (one barrier per slot); larger K amortizes the
-	// barrier ~K× (clamped to 4096). Every setting produces
-	// bit-identical egress and Stats; only coordination cost changes.
+	// EpochSlots is the speculation window K of the engine: StepBatch
+	// runs as a sequence of epochs of up to K slots, each planned in
+	// one serialized iSLIP pass and executed by the workers between a
+	// single pair of synchronizations. 0 or 1 plans one slot per epoch
+	// (one barrier per slot); larger K amortizes the barrier ~K×
+	// (clamped to 4096). Every setting produces bit-identical egress
+	// and Stats; only coordination cost changes.
 	EpochSlots int
 }
 
@@ -276,30 +277,32 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// EpochStats counts the epoch-batched engine's planning and
-// synchronization activity. It is separate from Stats, which stays
-// bit-identical across every EpochSlots setting.
+// EpochStats counts the engine's planning and synchronization
+// activity. It is separate from Stats, which stays bit-identical
+// across every EpochSlots setting.
 type EpochStats struct {
 	// Epochs counts executed plans; PlannedSlots the slots they
 	// covered and CommittedSlots the slots that committed (equal
-	// unless a divergence truncated a plan).
+	// unless a divergence truncated a plan). Every slot StepBatch
+	// does not fast-forward is a committed slot.
 	Epochs, PlannedSlots, CommittedSlots uint64
-	// HorizonTruncations counts plans cut short of the full window by
-	// the admission horizon; SerialFallbackSlots counts slots stepped
-	// in exact lockstep because no slot could be planned.
+	// HorizonTruncations counts plans of two or more slots cut short
+	// of the window by the admission horizon: a plan ends after the
+	// first slot whose arrival a port's tail SRAM cannot guarantee,
+	// and the buffer decides that arrival (admit, or retry next slot).
+	// SerialFallbackSlots counts plans that ended after their first
+	// slot for that reason.
 	HorizonTruncations, SerialFallbackSlots uint64
 	// Divergences counts execution-time prediction failures (zero in
 	// every healthy state).
 	Divergences uint64
-	// SyncOps counts coordinator↔worker channel operations: the
-	// lockstep engine pays 2×Workers per slot, the epoch engine
-	// 2×Workers per epoch.
+	// SyncOps counts coordinator↔worker channel operations:
+	// 2×Workers per epoch (zero with Workers = 1).
 	SyncOps uint64
 }
 
-// EpochStats returns the epoch engine's planning and synchronization
-// counters (all zero while EpochSlots ≤ 1, except SyncOps, which the
-// lockstep barrier also maintains).
+// EpochStats returns the engine's planning and synchronization
+// counters.
 func (e *Engine) EpochStats() EpochStats {
 	s := e.inner.EpochStats()
 	return EpochStats{
@@ -321,7 +324,8 @@ func (e *Engine) EpochStats() EpochStats {
 // outlive their traffic cost nothing per slot.
 func (e *Engine) Quiescent() bool { return e.inner.Quiescent() }
 
-// Workers returns the number of worker goroutines (1 = serial).
+// Workers returns the number of worker goroutines (1 = every port
+// runs in place on the calling goroutine).
 func (e *Engine) Workers() int { return e.inner.Workers() }
 
 // Close stops the worker goroutines. A closed engine rejects further

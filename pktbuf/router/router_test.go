@@ -143,7 +143,7 @@ func TestSinglePacketAcrossFabric(t *testing.T) {
 
 // TestShardedMatchesSerial is the public golden-equivalence test: a
 // seeded workload produces a bit-identical egress stream and stats
-// through the serial path (Workers: 1) and the sharded path
+// through the in-place path (Workers: 1) and the sharded path
 // (Workers: 0), slot for slot.
 func TestShardedMatchesSerial(t *testing.T) {
 	const ports, classes, slots = 4, 2, 6000

@@ -41,6 +41,10 @@ type Client struct {
 	wmu sync.Mutex
 	w   *wire.Writer
 	wnc net.Conn
+	// byeWritten (under wmu) records that the client's Bye is on the
+	// wire. Bye is the last frame a client writes: the server stops
+	// reading at it, so every writer checks this flag first.
+	byeWritten bool
 
 	nc net.Conn // current conn (read side); swapped on reconnect
 
@@ -308,6 +312,10 @@ func (c *Client) startPinger() {
 				return
 			case <-t.C:
 				c.wmu.Lock()
+				if c.byeWritten {
+					c.wmu.Unlock()
+					return
+				}
 				err := c.w.WriteFrame(wire.TPing, nil)
 				if err == nil {
 					err = c.w.Flush()
@@ -341,6 +349,10 @@ func (c *Client) resumable() bool {
 // reader has exited, so no delivery or reject will ever return window
 // credit, and waiting for it would block forever.
 var errServerBye = fmt.Errorf("serve: server closed the session: %w", io.EOF)
+
+// errClientBye is Submit's answer once the client's own Bye is on the
+// wire: the server reads nothing after it.
+var errClientBye = errors.New("serve: submit after Bye")
 
 // Submit sends one Submit frame carrying qs, blocking first until the
 // in-system window has room for the whole burst (so a single-writer
@@ -388,6 +400,11 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 	}
 	c.mu.Unlock()
 	c.wmu.Lock()
+	if c.byeWritten {
+		// A Drain arrived (and was answered) after the check above.
+		c.wmu.Unlock()
+		return c.unsubmit(qs)
+	}
 	nc := c.wnc
 	err := c.w.WriteCells(wire.TSubmit, wire.Arrivals, qs)
 	if err == nil {
@@ -410,6 +427,23 @@ func (c *Client) Submit(qs []pktbuf.Queue) error {
 	return nil
 }
 
+// unsubmit takes back the counters Submit charged for a burst it could
+// not write because the client's Bye was already on the wire.
+func (c *Client) unsubmit(qs []pktbuf.Queue) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inFlight -= len(qs)
+	c.submitted -= uint64(len(qs))
+	for _, q := range qs {
+		c.submitPQ[q]--
+	}
+	c.cond.Broadcast()
+	if c.draining {
+		return ErrDraining
+	}
+	return errClientBye
+}
+
 // submitRaw writes a resubmission burst: window-gated like Submit but
 // without recounting the cells (they were counted when first
 // submitted). A stale epoch aborts silently — a newer reconnect owns
@@ -427,6 +461,17 @@ func (c *Client) submitRaw(qs []pktbuf.Queue, epoch uint64) bool {
 	c.inFlight += len(qs)
 	c.mu.Unlock()
 	c.wmu.Lock()
+	if c.byeWritten {
+		// The server is draining and has stopped reading: it would
+		// have rejected these cells as draining, so count them so.
+		c.wmu.Unlock()
+		c.mu.Lock()
+		c.inFlight -= len(qs)
+		c.rejected += uint64(len(qs))
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		return false
+	}
 	nc := c.wnc
 	err := c.w.WriteCells(wire.TSubmit, wire.Arrivals, qs)
 	if err == nil {
@@ -457,13 +502,7 @@ func (c *Client) Bye(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	c.wmu.Lock()
-	err = c.w.WriteFrame(wire.TBye, nil)
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.writeBye(); err != nil {
 		c.fail(err)
 		nc.Close()
 		return err
@@ -483,6 +522,22 @@ func (c *Client) Bye(ctx context.Context) error {
 		return err
 	}
 	return nil
+}
+
+// writeBye writes the client's Bye unless it is already on the wire
+// (Bye answers the server's Drain too).
+func (c *Client) writeBye() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.byeWritten {
+		return nil
+	}
+	c.byeWritten = true
+	err := c.w.WriteFrame(wire.TBye, nil)
+	if err == nil {
+		err = c.w.Flush()
+	}
+	return err
 }
 
 // Close drops the connection immediately.
@@ -609,7 +664,7 @@ func (c *Client) readFrames(r *wire.Reader) error {
 			c.mu.Unlock()
 		case wire.TPing:
 			c.wmu.Lock()
-			if c.w.WriteFrame(wire.TPong, nil) == nil {
+			if !c.byeWritten && c.w.WriteFrame(wire.TPong, nil) == nil {
 				c.w.Flush()
 			}
 			c.wmu.Unlock()
@@ -620,6 +675,11 @@ func (c *Client) readFrames(r *wire.Reader) error {
 			c.draining = true
 			c.cond.Broadcast()
 			c.mu.Unlock()
+			// Answer with Bye: the server reads up to it, so every
+			// Submit already on the wire is delivered or rejected
+			// before the server's final Bye. A failed write surfaces
+			// as a read error.
+			c.writeBye()
 		case wire.TBye:
 			c.mu.Lock()
 			c.byeOK = true

@@ -52,6 +52,25 @@ type conn struct {
 	// connection's cells have drained.
 	closing atomic.Bool
 
+	// readDone is set when the reader goroutine has exited: the client
+	// said Bye, the socket hit EOF or failed, or the connection broke
+	// protocol. Only then has every Submit the client sent been
+	// admitted or rejected, so only then may the writer send the final
+	// Bye.
+	readDone atomic.Bool
+
+	// byeBy, once nonzero, is the wall time (Unix nanoseconds) at which
+	// reading stops even without the client's Bye. Shutdown sets it
+	// when the engine has drained, so a peer that never answers Drain
+	// with Bye still gets the final Bye instead of holding Shutdown to
+	// its context deadline.
+	byeBy atomic.Int64
+
+	// reaped records a keepalive reap: the reader stopped on a silent
+	// peer, so Submits the peer sends later go unread and the writer
+	// withholds the final Bye, which would vouch for them.
+	reaped atomic.Bool
+
 	// sawBye records a clean client Bye, distinguishing an orderly
 	// close (session released) from a connection failure (session
 	// retained for resumption on a Resumable server).
@@ -114,6 +133,13 @@ func (c *conn) sendCtrl(t wire.Type, payload []byte) {
 	c.wakeWriter()
 }
 
+// ctrlPending reports whether control frames await the writer.
+func (c *conn) ctrlPending() bool {
+	c.ctrlMu.Lock()
+	defer c.ctrlMu.Unlock()
+	return len(c.ctrl) > 0
+}
+
 func (c *conn) wakeWriter() {
 	select {
 	case c.wakeW <- struct{}{}:
@@ -160,13 +186,16 @@ func (c *conn) retryHint() uint64 {
 }
 
 // readLoop handshakes and then admits Submit frames until the client
-// says Bye or the connection fails.
+// says Bye or the connection fails. A draining server keeps reading
+// too — admit rejects every Submit as draining — so Submits that
+// crossed the server's Drain on the wire are answered, not dropped.
 func (c *conn) readLoop() {
 	defer c.s.connWG.Done()
 	defer func() {
 		// Whatever the exit reason: no more admissions, and the writer
 		// finishes draining and tears down.
 		c.closing.Store(true)
+		c.readDone.Store(true)
 		c.wakeWriter()
 	}()
 	r := wire.NewReader(c.nc)
@@ -181,6 +210,10 @@ func (c *conn) readLoop() {
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
+				if c.byeBy.Load() != 0 {
+					return // Shutdown's read grace ran out: no Bye coming
+				}
+				c.reaped.Store(true)
 				c.s.cfg.ErrorLog.Printf("pktbufd: read %s: %v", c.nc.RemoteAddr(), ErrPeerTimeout)
 			} else if err != io.EOF && !c.s.closed.Load() && !errors.Is(err, net.ErrClosed) {
 				c.s.cfg.ErrorLog.Printf("pktbufd: read %s: %v", c.nc.RemoteAddr(), err)
@@ -189,7 +222,9 @@ func (c *conn) readLoop() {
 		}
 		switch t {
 		case wire.TSubmit:
-			c.handleSubmit(payload)
+			if !c.handleSubmit(payload) {
+				return
+			}
 		case wire.TPing:
 			c.sendCtrl(wire.TPong, nil)
 		case wire.TPong:
@@ -211,6 +246,21 @@ func (c *conn) armDeadline(ka time.Duration) {
 	if ka > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(2 * ka))
 	}
+	// Loaded after the extension above: a concurrent endReads is
+	// either seen here or sets its deadline after ours, so the
+	// extension never outlives Shutdown's grace.
+	if by := c.byeBy.Load(); by != 0 {
+		c.nc.SetReadDeadline(time.Unix(0, by))
+	}
+}
+
+// endReads bounds the reader's wait for the client's Bye to grace from
+// now: Submits already on the wire are still read and answered, and
+// the reader then exits so the writer can send the final Bye.
+func (c *conn) endReads(grace time.Duration) {
+	by := time.Now().Add(grace)
+	c.byeBy.Store(by.UnixNano())
+	c.nc.SetReadDeadline(by)
 }
 
 // handshake consumes Hello, allocates flows, and queues
@@ -328,8 +378,9 @@ func encodeCellPayload(qs []pktbuf.Queue) []byte {
 }
 
 // handleSubmit admits the frame's cells as a prefix and queues one
-// Reject for the remainder on the first failure.
-func (c *conn) handleSubmit(payload []byte) {
+// Reject for the remainder on the first failure. It reports false on
+// a malformed frame, which ends the connection.
+func (c *conn) handleSubmit(payload []byte) bool {
 	accepted, total := 0, 0
 	reason := rejectReason(-1)
 	err := wire.DecodeCells(payload, wire.Arrivals, func(q pktbuf.Queue) error {
@@ -346,9 +397,7 @@ func (c *conn) handleSubmit(payload []byte) {
 	})
 	if err != nil {
 		c.s.cfg.ErrorLog.Printf("pktbufd: %s bad Submit: %v", c.nc.RemoteAddr(), err)
-		c.closing.Store(true)
-		c.wakeWriter()
-		return
+		return false
 	}
 	if reason >= 0 {
 		c.s.rejects[reason].Add(uint64(total - accepted))
@@ -360,6 +409,7 @@ func (c *conn) handleSubmit(payload []byte) {
 		}
 		c.sendCtrl(wire.TReject, rej.AppendTo(nil))
 	}
+	return true
 }
 
 func rejectCode(r rejectReason) wire.Code {
@@ -375,12 +425,12 @@ func rejectCode(r rejectReason) wire.Code {
 }
 
 // writeLoop owns the socket's write side: control frames first, then
-// egress-ring deliveries, then — once the connection is closing and
-// empty — a final Bye. On a write failure it keeps consuming the
-// egress ring (restoring window credit) so the serving loop is never
-// wedged by a dead client — unless the session is resumable, in which
-// case it exits immediately and leaves the cells in the engine for
-// the session's next connection.
+// egress-ring deliveries, then — once the reader is done and the
+// connection is empty — a final Bye. On a write failure it keeps
+// consuming the egress ring (restoring window credit) so the serving
+// loop is never wedged by a dead client — unless the session is
+// resumable, in which case it exits immediately and leaves the cells
+// in the engine for the session's next connection.
 func (c *conn) writeLoop() {
 	defer c.s.connWG.Done()
 	defer c.teardown()
@@ -460,8 +510,10 @@ func (c *conn) writeLoop() {
 			// instead of draining into a dead socket.
 			return
 		}
-		if c.closing.Load() && c.inSystem() == 0 && c.ingress.empty() && c.admitting.Load() == 0 {
-			if !failed {
+		// readDone is loaded first: every Reject the reader queued is
+		// then visible to ctrlPending, so none is dropped behind Bye.
+		if c.readDone.Load() && !c.ctrlPending() && c.inSystem() == 0 && c.ingress.empty() && c.admitting.Load() == 0 {
+			if !failed && !c.reaped.Load() {
 				if w.WriteFrame(wire.TBye, nil) == nil {
 					w.Flush()
 				}

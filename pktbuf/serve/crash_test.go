@@ -441,15 +441,35 @@ func TestInitialDialRetry(t *testing.T) {
 
 // TestShutdownUnderChurnRace drives a resumable, keepalive-enabled
 // server with submitting clients and connection churn, then shuts
-// down gracefully mid-flight. The assertions are the drain contract
-// (no deadlock, Shutdown returns nil) — under -race it also proves
-// the session machinery clean under concurrency.
+// down gracefully mid-flight. The drain contract holds at every
+// keepalive: no deadlock, Shutdown returns nil, and every client that
+// ends cleanly has a closed ledger — every submitted cell was
+// delivered or rejected, including Submits that crossed the Drain on
+// the wire. Under -race it also proves the session machinery clean
+// under concurrency.
 func TestShutdownUnderChurnRace(t *testing.T) {
-	h := newCrashHarness(t, serve.Config{Buffer: bufCfg(32), KeepAlive: 20 * time.Millisecond})
+	// 20 ms keepalives interleave reaps with the churn and the drain:
+	// under the race detector a starved client may be reaped, and a
+	// reap during Shutdown cannot resume (the listener is closed), so
+	// such a client ends with an error.
+	t.Run("keepalive=20ms", func(t *testing.T) {
+		testShutdownUnderChurn(t, 20*time.Millisecond, false)
+	})
+	// A liveness budget that outlasts scheduling stalls reaps no
+	// healthy client: every client must end cleanly.
+	t.Run("keepalive=100ms", func(t *testing.T) {
+		testShutdownUnderChurn(t, 100*time.Millisecond, true)
+	})
+}
+
+func testShutdownUnderChurn(t *testing.T, ka time.Duration, allClean bool) {
+	h := newCrashHarness(t, serve.Config{Buffer: bufCfg(32), KeepAlive: ka})
 	var wg sync.WaitGroup
 	retry := serve.Retry{Attempts: 5, Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 11}
-	for i := 0; i < 3; i++ {
-		c := h.dial(4, retry, 20*time.Millisecond)
+	clients := make([]*serve.Client, 3)
+	for i := range clients {
+		c := h.dial(4, retry, ka)
+		clients[i] = c
 		wg.Add(1)
 		go func(c *serve.Client) {
 			defer wg.Done()
@@ -488,4 +508,21 @@ func TestShutdownUnderChurnRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	for i, c := range clients {
+		select {
+		case <-c.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("client %d never ended after Shutdown", i)
+		}
+		if err := c.Err(); err != nil {
+			if allClean {
+				t.Errorf("client %d: %v", i, err)
+			}
+			continue
+		}
+		st := c.Stats()
+		if st.Submitted != st.Delivered+st.Rejected || st.InFlight != 0 {
+			t.Errorf("client %d ledger open after shutdown: %+v", i, st)
+		}
+	}
 }

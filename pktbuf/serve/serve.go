@@ -138,8 +138,8 @@ type Config struct {
 	Resumable bool
 	// KeepAlive enables liveness probing on data-plane connections:
 	// the server Pings an idle peer every KeepAlive and reaps
-	// connections silent for two KeepAlive intervals (read deadline),
-	// surfacing ErrPeerTimeout in the error log. Writes get the same
+	// connections silent for two KeepAlive intervals (read deadline)
+	// without a final Bye, surfacing ErrPeerTimeout in the error log. Writes get the same
 	// deadline so a wedged peer cannot stall a writer goroutine
 	// forever. Zero disables probing and deadlines.
 	KeepAlive time.Duration
@@ -380,11 +380,21 @@ func (s *Server) wakeLoop() {
 	}
 }
 
+// byeGrace is how long Shutdown waits, once the engine has drained,
+// for a connection's client to answer Drain with Bye before it stops
+// reading and sends the final Bye anyway.
+const byeGrace = 250 * time.Millisecond
+
 // Shutdown drains gracefully: stop accepting connections and cells
 // (further Submits are rejected with wire.CodeDraining), announce
 // Drain to every client, run the engine until every admitted cell has
-// been delivered and the buffer is quiescent, flush and close the
-// connections, then stop. It returns ctx's error (after an immediate
+// been delivered and the buffer is quiescent, then confirm each
+// connection with a final Bye and close it. A connection gets its
+// final Bye after its client's own Bye (Client sends one in answer to
+// Drain) or EOF, so every Submit the client sent is delivered or
+// rejected first; a peer that says neither gets it anyway once
+// byeGrace (or two KeepAlive intervals, if longer) has passed since
+// the engine drained. It returns ctx's error (after an immediate
 // Close) if the context expires first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
@@ -408,8 +418,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("serve: shutdown: %w", ctx.Err())
 	}
 	// Engine drained: every admitted cell is in an egress ring or
-	// already on the wire. Ask the writers to flush, confirm with Bye,
-	// and close.
+	// already on the wire. Ask the writers to flush; each confirms with
+	// Bye and closes once its reader has seen the client's Bye or EOF,
+	// or has given up waiting for them.
+	grace := max(byeGrace, 2*s.cfg.KeepAlive)
 	s.mu.Lock()
 	conns = conns[:0]
 	for c := range s.conns {
@@ -418,6 +430,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, c := range conns {
 		c.closing.Store(true)
+		c.endReads(grace)
 		c.wakeWriter()
 	}
 	done := make(chan struct{})

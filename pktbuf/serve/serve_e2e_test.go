@@ -479,6 +479,51 @@ func TestDrainingRejectsRawSubmit(t *testing.T) {
 	}
 }
 
+// TestShutdownByesSilentPeer drains a peer that never answers Drain
+// with Bye, as a hand-rolled client may not: Shutdown must still
+// deliver its cells, confirm with the final Bye and return nil well
+// before its context expires.
+func TestShutdownByesSilentPeer(t *testing.T) {
+	srv, addr := startServer(t, serve.Config{Buffer: bufCfg(8)})
+	s := rawDial(t, addr, 2)
+	s.submit([]pktbuf.Queue{s.flows[0], s.flows[1], s.flows[0]})
+	waitFor(t, 10*time.Second, "admission", func() bool {
+		return srv.Admission().Admitted == 3
+	})
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	for {
+		s.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, p, err := s.r.Next()
+		if err != nil {
+			t.Fatalf("no final Bye: %v", err)
+		}
+		if typ == wire.TBye {
+			break
+		}
+		if typ == wire.TDeliver {
+			wire.DecodeCells(p, wire.Deliveries, func(pktbuf.Queue) error {
+				s.delivered++
+				return nil
+			})
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if s.delivered != 3 {
+		t.Fatalf("delivered %d cells before the final Bye, want 3", s.delivered)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Shutdown took %v waiting for a Bye that never came", d)
+	}
+}
+
 func TestMetricsAndHealthz(t *testing.T) {
 	srv, addr := startServer(t, serve.Config{Buffer: bufCfg(8)})
 	c, err := serve.Dial(addr, 2)

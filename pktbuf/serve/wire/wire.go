@@ -43,8 +43,11 @@ import (
 type Type uint8
 
 // Frame types. Bye is used in both directions: from the client it
-// means "no more submits, drain me and confirm"; from the server it
-// confirms the connection is fully drained and about to close.
+// means "no more submits, drain me and confirm" and is the last frame
+// the client writes; from the server it confirms the connection is
+// fully drained and about to close. A client answers the server's
+// Drain with its Bye: the server reads up to that Bye (or EOF),
+// rejecting any Submit that crossed the Drain, before its own.
 const (
 	THello Type = iota + 1
 	TSubmit
